@@ -45,9 +45,9 @@ use rcm_graphgen::{block_diag, forest, multi_body, suite, suite_matrix, SuiteMat
 use rcm_solver::{cg_iteration_cost, pcg, BlockJacobi};
 use rcm_sparse::{
     bucket_sortperm_ref, connected_components, counting_sortperm, matrix_bandwidth, mm, spmspv,
-    spmspv_pull, spmspv_pull_ref, CooBuilder, CscMatrix, CsrNumeric, DenseFrontier, Label,
-    Permutation, PullBuffer, Select2ndMin, SortpermScratch, SparseVec, SpmspvWorkspace,
-    VertexBitmap, Vidx, UNVISITED,
+    spmspv_pull, spmspv_pull_ref, CscMatrix, CsrNumeric, DenseFrontier, Label, Permutation,
+    PullBuffer, Select2ndMin, SortpermScratch, SparseVec, SpmspvWorkspace, VertexBitmap, Vidx,
+    UNVISITED,
 };
 
 use crate::report::{fmt_count, fmt_secs, Table};
@@ -1981,21 +1981,14 @@ pub struct MtxInput {
     pub matrix: CscMatrix,
 }
 
-/// Load a Matrix Market file for the bench harness: pattern read,
-/// symmetrized via [`CooBuilder`] when the stored structure is one-sided.
-/// The error string always names the offending file.
+/// Load a Matrix Market file for the bench harness through
+/// [`mm::read_symmetric_pattern_file`]: non-square input is rejected and a
+/// one-sided structure is symmetrized. The error string always names the
+/// offending file.
 pub fn load_mtx(path: &Path) -> Result<MtxInput, String> {
-    let a = mm::read_pattern_file(path)
-        .map_err(|e| format!("cannot load Matrix Market file {}: {e}", path.display()))?;
-    let matrix = if a.is_symmetric() {
-        a
-    } else {
-        let mut b = CooBuilder::new(a.n_rows(), a.n_cols());
-        for (r, c) in a.iter_entries() {
-            b.push_sym(r, c);
-        }
-        b.build()
-    };
+    let matrix = mm::read_symmetric_pattern_file(path)
+        .map_err(|e| format!("cannot load Matrix Market file {}: {e}", path.display()))?
+        .matrix;
     Ok(MtxInput {
         name: path
             .file_stem()

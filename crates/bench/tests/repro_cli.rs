@@ -70,6 +70,25 @@ fn malformed_mtx_variants_exit_2_naming_the_file() {
 }
 
 #[test]
+fn rectangular_mtx_exits_2_naming_the_file() {
+    let dir = temp_dir("rect");
+    let path = dir.join("rect.mtx");
+    std::fs::write(
+        &path,
+        "%%MatrixMarket matrix coordinate pattern general\n2 3 2\n1 3\n2 1\n",
+    )
+    .unwrap();
+    let out = repro()
+        .args(["--quick", "--mtx", path.to_str().unwrap(), "fig3"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "non-square input must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("rect.mtx"), "{stderr}");
+    assert!(stderr.contains("square"), "{stderr}");
+}
+
+#[test]
 fn crlf_mtx_input_is_accepted() {
     let dir = temp_dir("crlf");
     let path = dir.join("dos.mtx");

@@ -385,6 +385,14 @@ impl RcmPool {
     /// Pool with `config.nthreads` workers (spawned now, parked until the
     /// first job) and empty arenas.
     pub fn new(config: PoolConfig) -> Self {
+        Self::starting_at_epoch(config, 0)
+    }
+
+    /// [`RcmPool::new`] with the gate epoch starting at `epoch`. The
+    /// workers are spawned knowing it, so none of them mistakes the
+    /// starting epoch for a posted job (the wraparound tests start near
+    /// `u32::MAX` because they cannot post 2³² real jobs).
+    fn starting_at_epoch(config: PoolConfig, epoch: u64) -> Self {
         let nthreads = config.nthreads.max(1);
         let config = PoolConfig { nthreads, ..config };
         let shared = Arc::new(PoolShared {
@@ -403,7 +411,7 @@ impl RcmPool {
             barrier: Barrier::new(nthreads),
             gate: Gate {
                 state: Mutex::new(GateState {
-                    epoch: 0,
+                    epoch,
                     job: JobKind::Level {
                         base_label: 0,
                         pull: false,
@@ -426,7 +434,7 @@ impl RcmPool {
             (0..nthreads)
                 .map(|tid| {
                     let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || worker_loop(&shared, tid))
+                    std::thread::spawn(move || worker_loop(&shared, tid, epoch))
                 })
                 .collect()
         } else {
@@ -452,13 +460,6 @@ impl RcmPool {
     /// The active configuration.
     pub fn config(&self) -> &PoolConfig {
         &self.config
-    }
-
-    /// Set the gate epoch directly — only for the wraparound tests, which
-    /// cannot post 2³² real jobs.
-    #[cfg(test)]
-    fn set_epoch_for_test(&self, epoch: u64) {
-        self.shared.lock_gate().epoch = epoch;
     }
 
     /// Times any install-managed arena (visited set, pull-label array,
@@ -860,12 +861,12 @@ impl LevelExecutor<'_> {
 /// Worker body: park on the gate, run the posted job (one level of the
 /// three-phase pipeline, or a share of a batch of whole orderings), report
 /// completion, repeat until shutdown. The serial workspace for batch jobs
-/// is worker-local and stays warm for the pool's lifetime.
-fn worker_loop(shared: &PoolShared, tid: usize) {
+/// is worker-local and stays warm for the pool's lifetime. `last_epoch`
+/// is the gate epoch the pool started at.
+fn worker_loop(shared: &PoolShared, tid: usize, mut last_epoch: u64) {
     let mut hist: Vec<u32> = Vec::new();
     let mut cursors: Vec<u32> = Vec::new();
     let mut batch_ws = SerialWorkspace::new();
-    let mut last_epoch = 0u64;
     loop {
         let job = {
             let mut st = shared.lock_gate();
@@ -1324,12 +1325,14 @@ mod tests {
         let frontier: Vec<Vidx> = (0..300).map(|i| (i * 3) as Vidx).collect();
         let mut seq_pool = RcmPool::new(PoolConfig::new(1));
         let (expect, _) = expand_once(&mut seq_pool, &a, &degrees, &frontier, 40);
-        let mut pool = RcmPool::new(PoolConfig {
-            nthreads: 3,
-            seq_cutoff: 1,
-            chunk: 16,
-        });
-        pool.set_epoch_for_test(u32::MAX as u64 - 1);
+        let mut pool = RcmPool::starting_at_epoch(
+            PoolConfig {
+                nthreads: 3,
+                seq_cutoff: 1,
+                chunk: 16,
+            },
+            u32::MAX as u64 - 1,
+        );
         for round in 0..4 {
             // Rounds post epochs MAX, then wrap → 1, 2, 3.
             let (got, par) = expand_once(&mut pool, &a, &degrees, &frontier, 40);

@@ -97,15 +97,42 @@ pub struct OrderingQuality {
     pub profile_after: u64,
 }
 
-/// Evaluate `perm` against the identity ordering of `a`.
+/// Evaluate `perm` against the identity ordering of `a`, in one pass over
+/// the entries and without allocating.
+///
+/// Both metrics split by column: the bandwidth is the largest distance
+/// from a column's label `p[c]` to its entries' labels, and column `c`'s
+/// profile term is `p[c] − min(p[c], min_r p[r])`. So each column needs
+/// only the smallest and largest label among its entries; before the
+/// permutation those are its first and last row, since rows are sorted.
 pub fn quality_report(a: &CscMatrix, perm: &Permutation) -> OrderingQuality {
-    let id = Permutation::identity(a.n_cols());
-    OrderingQuality {
-        bandwidth_before: ordering_bandwidth(a, &id),
-        bandwidth_after: ordering_bandwidth(a, perm),
-        profile_before: ordering_profile(a, &id),
-        profile_after: ordering_profile(a, perm),
+    assert_eq!(perm.len(), a.n_cols());
+    let p = perm.as_new_of_old();
+    let mut q = OrderingQuality {
+        bandwidth_before: 0,
+        bandwidth_after: 0,
+        profile_before: 0,
+        profile_after: 0,
+    };
+    for c in 0..a.n_cols() {
+        let col = a.col(c);
+        let (Some(&first), Some(&last)) = (col.first(), col.last()) else {
+            continue;
+        };
+        let (lo, hi) = (c.min(first as usize), c.max(last as usize));
+        q.bandwidth_before = q.bandwidth_before.max((c - lo).max(hi - c));
+        q.profile_before += (c - lo) as u64;
+        let pc = p[c];
+        let (mut lo, mut hi) = (pc, pc);
+        for &r in col {
+            let pr = p[r as usize];
+            lo = lo.min(pr);
+            hi = hi.max(pr);
+        }
+        q.bandwidth_after = q.bandwidth_after.max((pc - lo).max(hi - pc) as usize);
+        q.profile_after += (pc - lo) as u64;
     }
+    q
 }
 
 #[cfg(test)]
@@ -151,6 +178,30 @@ mod tests {
         let viaperm = ordering_wavefront(&a, &p);
         assert_eq!(viaperm.0, direct.0);
         assert!((viaperm.1 - direct.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn quality_report_matches_the_per_metric_passes() {
+        // Diagonal entries, an isolated vertex and long edges, under the
+        // identity and under scrambling strides.
+        let n = 30;
+        let mut b = CooBuilder::new(n, n);
+        for v in 0..n as Vidx - 2 {
+            b.push_sym(v, (v * 7 + 3) % (n as Vidx - 1));
+            b.push(v, v);
+        }
+        let a = b.build();
+        for stride in [1, 7, 11, 13] {
+            let p =
+                Permutation::from_new_of_old((0..n).map(|i| ((i * stride) % n) as Vidx).collect())
+                    .unwrap();
+            let id = Permutation::identity(n);
+            let q = quality_report(&a, &p);
+            assert_eq!(q.bandwidth_before, ordering_bandwidth(&a, &id));
+            assert_eq!(q.bandwidth_after, ordering_bandwidth(&a, &p));
+            assert_eq!(q.profile_before, ordering_profile(&a, &id));
+            assert_eq!(q.profile_after, ordering_profile(&a, &p));
+        }
     }
 
     #[test]

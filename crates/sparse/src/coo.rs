@@ -76,22 +76,15 @@ impl CooBuilder {
         }
     }
 
-    /// Sort column-major, deduplicate and build the CSC pattern matrix.
-    pub fn build(mut self) -> CscMatrix {
-        // Column-major order so that row indices within each column come out
-        // sorted, which the CSC kernels rely on.
-        self.entries.sort_unstable_by_key(|a| (a.1, a.0));
-        self.entries.dedup();
-
-        let mut col_ptr = vec![0usize; self.n_cols + 1];
-        for &(_, c) in &self.entries {
-            col_ptr[c as usize + 1] += 1;
-        }
-        for c in 0..self.n_cols {
-            col_ptr[c + 1] += col_ptr[c];
-        }
-        let row_idx: Vec<Vidx> = self.entries.iter().map(|&(r, _)| r).collect();
-        CscMatrix::from_parts(self.n_rows, self.n_cols, col_ptr, row_idx)
+    /// Build the CSC pattern matrix (sorted, duplicate-free columns) with a
+    /// counting build over the pushed entries.
+    pub fn build(self) -> CscMatrix {
+        CscMatrix::from_entries(
+            self.n_rows,
+            self.n_cols,
+            self.entries.iter().copied(),
+            false,
+        )
     }
 }
 

@@ -47,6 +47,85 @@ impl CscMatrix {
         }
     }
 
+    /// Counting build from `(row, col)` entries in any order, duplicates
+    /// allowed: count per column, prefix-sum, scatter, then sort only the
+    /// columns that arrived unsorted and drop duplicates in place. With
+    /// `mirror`, every off-diagonal `(r, c)` also lands at `(c, r)` (the
+    /// matrix must then be square). The iterator is walked twice, once to
+    /// count and once to scatter. O(n + nnz) plus the per-column sorts.
+    pub(crate) fn from_entries<I>(n_rows: usize, n_cols: usize, entries: I, mirror: bool) -> Self
+    where
+        I: Iterator<Item = (Vidx, Vidx)> + Clone,
+    {
+        debug_assert!(
+            !mirror || n_rows == n_cols,
+            "mirroring needs a square matrix"
+        );
+        // col_ptr[c] counts column c, then (exclusive prefix sum) holds its
+        // start, then (as the scatter cursor) its end.
+        let mut col_ptr = vec![0usize; n_cols + 1];
+        for (r, c) in entries.clone() {
+            col_ptr[c as usize] += 1;
+            if mirror && r != c {
+                col_ptr[r as usize] += 1;
+            }
+        }
+        let mut total = 0;
+        for p in &mut col_ptr {
+            let count = *p;
+            *p = total;
+            total += count;
+        }
+        let mut row_idx = vec![0 as Vidx; total];
+        for (r, c) in entries {
+            let slot = &mut col_ptr[c as usize];
+            row_idx[*slot] = r;
+            *slot += 1;
+            if mirror && r != c {
+                let slot = &mut col_ptr[r as usize];
+                row_idx[*slot] = c;
+                *slot += 1;
+            }
+        }
+        // Each cursor now sits at its column's end: shift them into
+        // column starts.
+        col_ptr.copy_within(0..n_cols, 1);
+        col_ptr[0] = 0;
+
+        // Sort the columns that need it and compact out duplicates; a
+        // matrix that arrived sorted and unique is only read once here.
+        let (mut start, mut write) = (0, 0);
+        for c in 0..n_cols {
+            let end = col_ptr[c + 1];
+            let col = &mut row_idx[start..end];
+            let strictly_sorted = col.windows(2).all(|w| w[0] < w[1]);
+            if !strictly_sorted {
+                col.sort_unstable();
+            }
+            if strictly_sorted && write == start {
+                write = end;
+            } else {
+                let mut prev = None;
+                for k in start..end {
+                    let r = row_idx[k];
+                    if prev != Some(r) {
+                        row_idx[write] = r;
+                        write += 1;
+                        prev = Some(r);
+                    }
+                }
+            }
+            col_ptr[c + 1] = write;
+            start = end;
+        }
+        if write < row_idx.len() {
+            // Duplicates were dropped: keep no spare capacity in the matrix.
+            row_idx.truncate(write);
+            row_idx.shrink_to_fit();
+        }
+        CscMatrix::from_parts(n_rows, n_cols, col_ptr, row_idx)
+    }
+
     /// Decompose into `(n_rows, n_cols, col_ptr, row_idx)` — the inverse of
     /// [`CscMatrix::from_parts`]. Hands the backing buffers to the caller so
     /// warm workspaces (e.g. the component splitter) can recycle them
@@ -167,17 +246,24 @@ impl CscMatrix {
         CscMatrix::from_parts(self.n_cols, self.n_rows, col_ptr, row_idx)
     }
 
-    /// True when the pattern equals its transpose.
+    /// True when the pattern equals its transpose. O(n + nnz).
     pub fn is_symmetric(&self) -> bool {
         if self.n_rows != self.n_cols {
             return false;
         }
-        // Cheap pass: every (r, c) must have a matching (c, r).
+        // Every (r, c) needs its (c, r) in column r. Walking the columns in
+        // ascending c visits column r's partners in ascending order, which
+        // is exactly the order column r stores them in when the pattern is
+        // symmetric, so one forward cursor per column checks them all.
+        let mut cursor = self.col_ptr[..self.n_cols].to_vec();
         for c in 0..self.n_cols {
             for &r in self.col(c) {
-                if !self.contains(c as Vidx, r) {
+                let r = r as usize;
+                let k = cursor[r];
+                if k == self.col_ptr[r + 1] || self.row_idx[k] as usize != c {
                     return false;
                 }
+                cursor[r] = k + 1;
             }
         }
         true

@@ -35,6 +35,74 @@ fn arb_perm(n: usize) -> impl Strategy<Value = Permutation> {
     })
 }
 
+/// Random `(row, col)` entries rendered as Matrix Market text in one of
+/// the variants the reader accepts — `general` (possibly rectangular) or
+/// `symmetric` storing the lower, upper or a mix of both triangles;
+/// `pattern`, `real` or `integer` fields; LF or CRLF; spaces or tabs; a
+/// leading `+`; comment and blank lines between entries; duplicate
+/// entries; trailing tokens and a missing final newline — together with
+/// the matrix `CooBuilder` makes of the same entries.
+fn arb_mm_text(max_n: usize, max_entries: usize) -> impl Strategy<Value = (String, CscMatrix)> {
+    (1..=max_n, 1..=max_n, 0..=max_entries).prop_perturb(|(rows, cols, m), mut rng| {
+        let mut pick = |k: usize| (rng.next_u64() % k as u64) as usize;
+        let storage = ["general", "lower", "upper", "mixed"][pick(4)];
+        let field = ["pattern", "real", "integer"][pick(3)];
+        let symmetric = storage != "general";
+        let cols = if symmetric { rows } else { cols };
+        let newline = ["\n", "\r\n"][pick(2)];
+        let mut b = CooBuilder::new(rows, cols);
+        let mut body = String::new();
+        let mut nnz = 0;
+        for _ in 0..m {
+            let (mut r, mut c) = (pick(rows), pick(cols));
+            if symmetric {
+                let lower = match storage {
+                    "lower" => true,
+                    "upper" => false,
+                    _ => pick(2) == 0,
+                };
+                if (r > c && !lower) || (r < c && lower) {
+                    std::mem::swap(&mut r, &mut c);
+                }
+                b.push_sym(r as Vidx, c as Vidx);
+            } else {
+                b.push(r as Vidx, c as Vidx);
+            }
+            let copies = if pick(8) == 0 { 2 } else { 1 };
+            for _ in 0..copies {
+                match pick(8) {
+                    0 => body.push_str(&format!("% between entries{newline}")),
+                    1 => body.push_str(&format!(" \t{newline}")),
+                    _ => {}
+                }
+                let lead = ["", " ", "\t"][pick(3)];
+                let sep = [" ", "\t", "  ", " \t "][pick(4)];
+                let plus = ["", "+"][pick(2)];
+                body.push_str(&format!("{lead}{plus}{}{sep}{plus}{}", r + 1, c + 1));
+                match field {
+                    "real" => {
+                        body.push_str(&format!("{sep}{}", ["1.5", "-2e-3", "0", "+4.25"][pick(4)]))
+                    }
+                    "integer" => body.push_str(&format!("{sep}{}", ["-7", "3", "+12"][pick(3)])),
+                    _ => {}
+                }
+                body.push_str(["", " ", " 9 extra"][pick(3)]);
+                body.push_str(newline);
+                nnz += 1;
+            }
+        }
+        if pick(4) == 0 {
+            body.truncate(body.trim_end().len());
+        }
+        let symmetry = if symmetric { "symmetric" } else { "general" };
+        let text = format!(
+            "%%MatrixMarket matrix coordinate {field} {symmetry}{newline}% generated{newline}\
+             {rows} {cols} {nnz}{newline}{body}"
+        );
+        (text, b.build())
+    })
+}
+
 proptest! {
     #[test]
     fn coo_build_is_symmetric_and_sorted(m in arb_sym_matrix(40, 120)) {
@@ -164,6 +232,40 @@ proptest! {
         rcm_sparse::mm::write_pattern(&m, &mut buf).unwrap();
         let back = rcm_sparse::mm::read_pattern(buf.as_slice()).unwrap();
         prop_assert_eq!(back, m);
+    }
+
+    #[test]
+    fn reader_matches_the_builder_on_rendered_text(case in arb_mm_text(25, 60)) {
+        let (text, expected) = case;
+        let m = rcm_sparse::mm::read_pattern(text.as_bytes()).unwrap();
+        prop_assert_eq!(&m, &expected, "{}", text);
+        // The numeric reader agrees on the pattern (duplicates summed, not
+        // dropped; explicit zeros kept).
+        let num = rcm_sparse::mm::read_numeric(text.as_bytes()).unwrap();
+        let mut got: Vec<(Vidx, Vidx)> = (0..num.n_rows())
+            .flat_map(|r| num.row_cols(r).iter().map(move |&c| (r as Vidx, c)))
+            .collect();
+        got.sort_unstable();
+        let mut want: Vec<(Vidx, Vidx)> = expected.iter_entries().collect();
+        want.sort_unstable();
+        prop_assert_eq!(got, want, "{}", text);
+    }
+
+    #[test]
+    fn writer_bytes_match_a_format_per_entry_rendering(case in arb_mm_text(40, 150)) {
+        let (_, m) = case;
+        let mut expected = format!(
+            "%%MatrixMarket matrix coordinate pattern general\n% written by rcm-sparse\n{} {} {}\n",
+            m.n_rows(),
+            m.n_cols(),
+            m.nnz()
+        );
+        for (r, c) in m.iter_entries() {
+            expected.push_str(&format!("{} {}\n", r + 1, c + 1));
+        }
+        let mut buf = Vec::new();
+        rcm_sparse::mm::write_pattern(&m, &mut buf).unwrap();
+        prop_assert_eq!(String::from_utf8(buf).unwrap(), expected);
     }
 
     #[test]

@@ -168,22 +168,17 @@ fn load(name: &str, opts: &Options) -> CscMatrix {
         });
         return m.generate(opts.scale.unwrap_or(m.default_scale));
     }
-    // Unknown paths and malformed Matrix Market input are usage errors:
-    // exit 2 with a message naming the file, never a panic.
-    let a = mm::read_pattern_file(name).unwrap_or_else(|e| {
+    // Unknown paths, malformed Matrix Market input and non-square matrices
+    // are usage errors: exit 2 with a message naming the file, never a
+    // panic.
+    let input = mm::read_symmetric_pattern_file(name).unwrap_or_else(|e| {
         eprintln!("cannot load Matrix Market file {name}: {e}");
         std::process::exit(2);
     });
-    if a.is_symmetric() {
-        a
-    } else {
+    if input.symmetrized {
         eprintln!("note: symmetrizing structurally unsymmetric input (A + Aᵀ)");
-        let mut b = CooBuilder::new(a.n_rows(), a.n_cols());
-        for (r, c) in a.iter_entries() {
-            b.push_sym(r, c);
-        }
-        b.build()
     }
+    input.matrix
 }
 
 fn main() {

@@ -458,6 +458,62 @@ fn malformed_mtx_file_exits_2_naming_the_file() {
 }
 
 #[test]
+fn hostile_nnz_header_exits_2_naming_the_file() {
+    // A three-line file declaring 10^12 entries: the reader must not size
+    // a buffer from the header (which aborted the process), and the CLI
+    // reports a parse error naming the file.
+    let dir = std::env::temp_dir().join("rcm-order-test-hostile");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("hostile-nnz.mtx");
+    std::fs::write(
+        &input,
+        "%%MatrixMarket matrix coordinate pattern general\n2 2 1000000000000\n1 1\n",
+    )
+    .unwrap();
+    let out = rcm_order().arg(input.to_str().unwrap()).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "hostile header must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("hostile-nnz.mtx"), "{stderr}");
+}
+
+#[test]
+fn rectangular_mtx_file_exits_2_naming_the_file() {
+    let dir = std::env::temp_dir().join("rcm-order-test-rect");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("rect.mtx");
+    std::fs::write(
+        &input,
+        "%%MatrixMarket matrix coordinate pattern general\n2 3 2\n1 3\n2 1\n",
+    )
+    .unwrap();
+    let out = rcm_order().arg(input.to_str().unwrap()).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "non-square input must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("rect.mtx"), "{stderr}");
+    assert!(stderr.contains("square"), "{stderr}");
+}
+
+#[test]
+fn unsymmetric_input_is_symmetrized_with_a_note() {
+    let dir = std::env::temp_dir().join("rcm-order-test-unsym");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("one-sided.mtx");
+    // A 5-vertex path stored as its lower triangle in a `general` file.
+    std::fs::write(
+        &input,
+        "%%MatrixMarket matrix coordinate pattern general\n5 5 4\n2 1\n3 2\n4 3\n5 4\n",
+    )
+    .unwrap();
+    let out = rcm_order().arg(input.to_str().unwrap()).output().unwrap();
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("symmetrizing"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("5 rows, 8 nnz"), "{stdout}");
+    assert!(stdout.contains("bandwidth: 1 -> 1"), "{stdout}");
+}
+
+#[test]
 fn reads_matrix_market_files() {
     let dir = std::env::temp_dir().join("rcm-order-test-mm");
     std::fs::create_dir_all(&dir).unwrap();
