@@ -4,12 +4,12 @@
 //! Each benchmark runs the *whole* ordering under one strategy on the
 //! serial backend (the strategy changes only the peripheral phase, so the
 //! deltas between strategies isolate the sweeps saved), plus a
-//! peripheral-phase-only series driving [`StartNodeStrategy::select`]
-//! directly on a fresh runtime.
+//! peripheral-phase-only series driving [`StartNode::select`] directly on
+//! a fresh runtime.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rcm_core::backends::SerialBackend;
-use rcm_core::driver::{ExpandDirection, StartNode, StartNodeStrategy};
+use rcm_core::driver::{ExpandDirection, StartNode};
 use rcm_core::{DriverStats, EngineConfig, OrderingEngine};
 use rcm_graphgen::suite_matrix;
 

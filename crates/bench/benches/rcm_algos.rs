@@ -1,8 +1,9 @@
 //! Criterion benchmarks of the four RCM implementations on a suite matrix
-//! (the data behind Table II's runtime columns).
+//! (the data behind Table II's runtime columns). The algebraic and shared
+//! series order through warm engines, as a session would.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rcm_core::{algebraic_rcm, dist_rcm, par_rcm, rcm_nosort, DistRcmConfig};
+use rcm_core::{dist_rcm, rcm_nosort, BackendKind, DistRcmConfig, OrderingEngine};
 use rcm_graphgen::suite_matrix;
 
 fn bench_rcm_algorithms(c: &mut Criterion) {
@@ -14,13 +15,15 @@ fn bench_rcm_algorithms(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(rcm_core::rcm(&a)))
     });
     group.bench_function("algebraic", |b| {
-        b.iter(|| std::hint::black_box(algebraic_rcm(&a).0))
+        let mut engine = OrderingEngine::with_backend(BackendKind::Serial);
+        b.iter(|| std::hint::black_box(engine.order(&a).perm))
     });
     // The Table II strong-scaling sweep: the work-stealing backend is
     // expected to keep improving past 4 threads on multi-core hosts.
     for threads in [1usize, 2, 4, 8, 16] {
         group.bench_function(format!("shared-{threads}t"), |b| {
-            b.iter(|| std::hint::black_box(par_rcm(&a, threads).0))
+            let mut engine = OrderingEngine::with_backend(BackendKind::Pooled { threads });
+            b.iter(|| std::hint::black_box(engine.order(&a).perm))
         });
     }
     group.bench_function("nosort", |b| {

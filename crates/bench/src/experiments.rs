@@ -33,10 +33,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rcm_core::{
-    algebraic_rcm_directed, bfs_level_structure, dist_rcm, ordering_bandwidth, ordering_profile,
-    ordering_wavefront, par_rcm, par_rcm_directed, pseudo_peripheral, rcm, rcm_compressed,
-    rcm_globalsort, rcm_nosort, rcm_with_backend, sloan, BackendKind, DistRcmConfig,
-    ExpandDirection, SortMode, StartNode,
+    bfs_level_structure, dist_rcm, ordering_bandwidth, ordering_profile, ordering_wavefront,
+    pseudo_peripheral, rcm, rcm_compressed, rcm_globalsort, rcm_nosort, sloan, BackendKind,
+    DistRcmConfig, ExpandDirection, OrderingReport, SortMode, StartNode,
 };
 use rcm_dist::{
     Breakdown, DistCscMatrix, MachineModel, Phase, PAPER_FLAT_CORES, PAPER_HYBRID_CORES,
@@ -51,6 +50,24 @@ use rcm_sparse::{
 };
 
 use crate::report::{fmt_count, fmt_secs, Table};
+
+/// Order `a` once on a fresh engine for `backend` under `direction` (start
+/// node from the environment, like every builder default).
+fn order_fresh(a: &CscMatrix, backend: BackendKind, direction: ExpandDirection) -> OrderingReport {
+    let config = rcm_core::EngineConfig::builder()
+        .backend(backend)
+        .direction(direction)
+        .build();
+    rcm_core::OrderingEngine::new(config).order(a)
+}
+
+/// The RCM permutation of `a` from a fresh single-use engine — the
+/// reference every warm, batched, split or cached path must reproduce.
+fn single_shot(a: &CscMatrix, backend: BackendKind) -> Permutation {
+    rcm_core::OrderingEngine::with_backend(backend)
+        .order(a)
+        .perm
+}
 
 /// Shared experiment configuration.
 #[derive(Clone, Debug)]
@@ -166,8 +183,10 @@ pub fn fig3_suite_table(cfg: &ExpConfig) -> Table {
 // ---------------------------------------------------------------------------
 
 /// Regenerate Table II: wall-clock runtime of the shared-memory baseline at
-/// several thread counts (measured on the host) next to the simulated
-/// distributed runtime at 1/6/24 cores, plus the ordering bandwidth.
+/// several thread counts (measured on the host: a fresh pooled engine's
+/// `OrderingReport::wall_seconds`, worker spawn excluded) next to the
+/// simulated distributed runtime at 1/6/24 cores, plus the ordering
+/// bandwidth.
 pub fn table2_shared_memory(cfg: &ExpConfig) -> Table {
     let threads = [1usize, 2, 4, 8, 16];
     let mut t = Table::new(
@@ -181,14 +200,15 @@ pub fn table2_shared_memory(cfg: &ExpConfig) -> Table {
         let a = cfg.generate(&m);
         let mut cells = vec![m.name.to_string()];
         // Quality: all implementations are ordering-identical; report once.
-        let (perm, _) = par_rcm(&a, 1);
-        cells.push(fmt_count(ordering_bandwidth(&a, &perm) as u64));
+        cells.push(fmt_count(ordering_bandwidth(&a, &rcm(&a)) as u64));
         for &th in &threads {
-            let t0 = Instant::now();
-            let (p, _) = par_rcm(&a, th);
-            let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(p.len(), a.n_rows());
-            cells.push(fmt_secs(dt));
+            let report = order_fresh(
+                &a,
+                BackendKind::Pooled { threads: th },
+                ExpandDirection::from_env(),
+            );
+            assert_eq!(report.perm.len(), a.n_rows());
+            cells.push(fmt_secs(report.wall_seconds));
         }
         for cores in [1usize, 6, 24] {
             let r = dist_rcm(&a, &DistRcmConfig::hybrid_on_edison(cores));
@@ -206,8 +226,9 @@ pub fn table2_shared_memory(cfg: &ExpConfig) -> Table {
 /// Thread counts of the shared-memory strong-scaling sweep.
 pub const SCALING_THREADS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Strong scaling of the work-stealing shared-memory backend: `par_rcm`
-/// wall time at 1/2/4/8/16 threads plus speedups over one thread.
+/// Strong scaling of the work-stealing shared-memory backend: a warm
+/// pooled engine's ordering wall time (`OrderingReport::wall_seconds`) at
+/// 1/2/4/8/16 threads plus speedups over one thread.
 ///
 /// Outside quick mode each instance is grown until it crosses the Table II
 /// floor of 100k vertices (capped by an nnz budget), so the sweep exercises
@@ -222,7 +243,7 @@ pub fn shared_scaling(cfg: &ExpConfig) -> Table {
     };
     let reps = if cfg.quick { 1 } else { 3 };
     let mut t = Table::new(
-        "Shared-memory strong scaling — par_rcm (measured on this host)",
+        "Shared-memory strong scaling — pooled engine (measured on this host)",
         &[
             "matrix", "vertices", "edges", "t(1t)", "t(2t)", "t(4t)", "t(8t)", "t(16t)", "su(2t)",
             "su(4t)", "su(8t)", "su(16t)",
@@ -240,12 +261,13 @@ pub fn shared_scaling(cfg: &ExpConfig) -> Table {
         }
         let mut times = Vec::new();
         for &threads in &SCALING_THREADS {
+            let mut engine =
+                rcm_core::OrderingEngine::with_backend(BackendKind::Pooled { threads });
             let mut best = f64::INFINITY;
             for _ in 0..reps {
-                let t0 = Instant::now();
-                let (p, _) = par_rcm(&a, threads);
-                best = best.min(t0.elapsed().as_secs_f64());
-                assert_eq!(p.len(), a.n_rows());
+                let report = engine.order(&a);
+                best = best.min(report.wall_seconds);
+                assert_eq!(report.perm.len(), a.n_rows());
             }
             times.push(best);
         }
@@ -594,25 +616,21 @@ pub fn direction_ablation(cfg: &ExpConfig) -> Table {
         ],
     );
     for (name, a) in &inputs {
-        let reference = algebraic_rcm_directed(a, ExpandDirection::Push).0;
+        let reference = order_fresh(a, BackendKind::Serial, ExpandDirection::Push).perm;
         // Measured backends: serial and the 4-thread pool.
-        for (backend, threads) in [("serial", 1usize), ("pooled", 4)] {
+        for (backend, kind) in [
+            ("serial", BackendKind::Serial),
+            ("pooled", BackendKind::Pooled { threads: 4 }),
+        ] {
             let mut times = Vec::new();
             let mut pull_levels = 0usize;
             let mut identical = true;
             for d in DIRECTIONS {
-                let t0 = Instant::now();
-                let (perm, pulls) = if backend == "serial" {
-                    let (perm, s) = algebraic_rcm_directed(a, d);
-                    (perm, s.pull_expands)
-                } else {
-                    let (perm, s) = par_rcm_directed(a, threads, d);
-                    (perm, s.pull_expands)
-                };
-                times.push(fmt_secs(t0.elapsed().as_secs_f64()));
-                identical &= perm == reference;
+                let report = order_fresh(a, kind, d);
+                times.push(fmt_secs(report.wall_seconds));
+                identical &= report.perm == reference;
                 if d == ExpandDirection::Adaptive {
-                    pull_levels = pulls;
+                    pull_levels = report.stats.pull_expands;
                 }
             }
             t.row(vec![
@@ -681,7 +699,7 @@ pub struct ThroughputRow {
     /// Orderings/second through one warm engine's `order_batch` (two-level
     /// parallelism on the pooled backend).
     pub batch_ops: f64,
-    /// Every engine permutation matched `rcm_with_backend` bit for bit —
+    /// Every engine permutation matched a fresh engine's bit for bit —
     /// on the measured backend for the whole stream, and on all four
     /// backends for the stream's largest matrix.
     pub identical: bool,
@@ -691,7 +709,7 @@ pub struct ThroughputRow {
 /// class: a stream of the class at several scales, each configuration
 /// timed best-of-`reps` over full passes. Cold constructs an
 /// [`rcm_core::OrderingEngine`] per ordering (for the pooled backend that includes
-/// the worker spawn, exactly what `par_rcm` pays per call); warm reuses
+/// the worker spawn, exactly what a per-call ordering pays); warm reuses
 /// one engine; batch additionally schedules small matrices whole,
 /// one-per-worker.
 pub fn throughput_measurements(cfg: &ExpConfig) -> Vec<ThroughputRow> {
@@ -715,7 +733,7 @@ pub fn throughput_measurements(cfg: &ExpConfig) -> Vec<ThroughputRow> {
         // Bit-equality across all four backends on the stream's largest
         // matrix — checked once per class (the dist/hybrid simulations are
         // the expensive part), shared by both measured rows.
-        let serial_ref = rcm_with_backend(largest, BackendKind::Serial);
+        let serial_ref = single_shot(largest, BackendKind::Serial);
         let mut four_way_identical = true;
         for check_kind in [
             BackendKind::Pooled { threads: 4 },
@@ -740,7 +758,7 @@ pub fn throughput_measurements(cfg: &ExpConfig) -> Vec<ThroughputRow> {
             let identical = four_way_identical
                 && mats
                     .iter()
-                    .all(|a| engine.order(a).perm == rcm_with_backend(a, kind));
+                    .all(|a| engine.order(a).perm == single_shot(a, kind));
 
             // The three modes are measured *interleaved* within each rep
             // (cold, then warm, then batch, adjacent in time) so ambient
@@ -789,7 +807,7 @@ pub fn throughput_measurements(cfg: &ExpConfig) -> Vec<ThroughputRow> {
 /// per-call construction vs warm batch, per suite class and backend. The
 /// bench tests assert warm ≥ cold on every class's pooled row (the
 /// amortization the engine exists for) and that every permutation stayed
-/// bit-identical to `rcm_with_backend`.
+/// bit-identical to a fresh single-use engine's.
 pub fn throughput_table(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "Ordering throughput — warm OrderingEngine vs cold per-call (orderings/sec)",
@@ -883,7 +901,7 @@ pub fn service_measurements(cfg: &ExpConfig) -> Vec<ServiceRow> {
         }
         let fresh: Vec<Permutation> = mats
             .iter()
-            .map(|a| rcm_with_backend(a, BackendKind::Serial))
+            .map(|a| single_shot(a, BackendKind::Serial))
             .collect();
 
         let engine_cfg = EngineConfig::builder().backend(BackendKind::Serial).build();
@@ -1091,7 +1109,7 @@ pub fn component_measurements(cfg: &ExpConfig) -> Vec<ComponentRow> {
     let mut rows = Vec::new();
     for (class, a) in component_classes(cfg) {
         let components = connected_components(&a).count();
-        let serial_ref = rcm_with_backend(&a, BackendKind::Serial);
+        let serial_ref = single_shot(&a, BackendKind::Serial);
         // Bit-equality of the split path across all four backends, checked
         // once per class (the dist/hybrid simulations are the expensive
         // part), shared by every measured row of the class.
@@ -1842,15 +1860,14 @@ pub fn backend_sweep(cfg: &ExpConfig) -> Table {
     );
     for m in cfg.matrices() {
         let a = cfg.generate(&m);
-        let reference = rcm_with_backend(&a, BackendKind::Serial);
+        let reference = single_shot(&a, BackendKind::Serial);
         // Measured backends.
         for (kind, config) in [
             (BackendKind::Serial, "1 thread".to_string()),
             (BackendKind::Pooled { threads: 4 }, "4 threads".to_string()),
         ] {
-            let t0 = Instant::now();
-            let p = rcm_with_backend(&a, kind);
-            let dt = t0.elapsed().as_secs_f64();
+            let report = rcm_core::OrderingEngine::with_backend(kind).order(&a);
+            let (p, dt) = (report.perm, report.wall_seconds);
             t.row(vec![
                 m.name.to_string(),
                 kind.name().to_string(),
@@ -2249,7 +2266,7 @@ mod tests {
         // the cold per-call baseline on the pooled backend — cold pays the
         // worker spawn and workspace construction per ordering, warm pays
         // neither — and every permutation must stay bit-identical to
-        // `rcm_with_backend` (checked across all four backends inside the
+        // a fresh engine's (checked across all four backends inside the
         // measurement).
         // Wall-clock relation, so measure over independent attempts: the
         // structural margin (a 4-thread spawn per cold ordering) is ~10%,
@@ -2265,7 +2282,7 @@ mod tests {
             for row in &rows {
                 assert!(
                     row.identical,
-                    "{} ({}): engine permutations diverged from rcm_with_backend",
+                    "{} ({}): engine permutations diverged from a fresh engine",
                     row.matrix, row.backend
                 );
                 if row.backend == "pooled" {

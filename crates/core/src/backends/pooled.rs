@@ -71,7 +71,7 @@ impl<'x, 's> PooledBackend<'x, 's> {
     }
 
     /// The (unreversed) Cuthill-McKee permutation after
-    /// [`crate::driver::drive_cm`], plus the parallel-expansion count.
+    /// [`crate::driver::drive_cm_with`], plus the parallel-expansion count.
     pub fn into_cm_permutation(self) -> (Permutation, usize) {
         let new_of_old: Vec<Vidx> = self.ws.order[..self.n].iter().map(|&l| l as Vidx).collect();
         (

@@ -1,6 +1,7 @@
 //! [`SerialBackend`]: the Table-I primitives on sequential `rcm-sparse`
 //! vectors — the *specification* backend every other one must match bit
-//! for bit (the data path of the former `algebraic.rs` driver).
+//! for bit (the matrix-algebraic formulation, Algorithms 3–4, on one
+//! core).
 //!
 //! The backend's allocation lifecycle is split in two, the pattern every
 //! backend follows since the engine refactor:
@@ -15,9 +16,13 @@
 //!
 //! [`SerialBackend::finish`] hands the warm workspace back for the next
 //! ordering; [`SerialBackend::new`] remains the one-shot convenience that
-//! owns a fresh workspace.
+//! owns a fresh workspace. Inside the crate, `SerialWorkspace::order_cm`
+//! runs all three steps — the one serial ordering body behind the engine
+//! and the pool's batch jobs.
 
-use crate::driver::{DenseTarget, RcmRuntime};
+use crate::driver::{
+    drive_cm_with, DenseTarget, DriverStats, ExpandDirection, LabelingMode, RcmRuntime, StartNode,
+};
 use rcm_sparse::{
     counting_sortperm, dense_set, spmspv, spmspv_pull, CscMatrix, DenseFrontier, Label,
     Permutation, PullBuffer, Select2ndMin, SortpermScratch, SparseVec, SpmspvWorkspace,
@@ -109,6 +114,22 @@ impl SerialWorkspace {
         self.pull_buf.ensure(n);
         self.sort_scratch.ensure(n);
     }
+
+    /// One whole Cuthill-McKee ordering of `a` through this warm workspace
+    /// (install, drive, hand the workspace back): the unreversed CM
+    /// permutation and the driver record.
+    pub(crate) fn order_cm(
+        &mut self,
+        a: &CscMatrix,
+        direction: ExpandDirection,
+        start_node: &StartNode,
+    ) -> (Permutation, DriverStats) {
+        let mut rt = SerialBackend::warm(a, std::mem::take(self));
+        let stats = drive_cm_with(&mut rt, LabelingMode::PerLevel, direction, start_node);
+        let (cm, ws) = rt.finish();
+        *self = ws;
+        (cm, stats)
+    }
 }
 
 /// Sequential reference backend over [`rcm_sparse`] containers.
@@ -147,13 +168,13 @@ impl<'a> SerialBackend<'a> {
         }
     }
 
-    /// The raw Cuthill-McKee labels after [`crate::driver::drive_cm`].
+    /// The raw Cuthill-McKee labels after [`crate::driver::drive_cm_with`].
     pub fn into_order(self) -> Vec<Label> {
         self.ws.order[..self.n].to_vec()
     }
 
     /// The (unreversed) Cuthill-McKee permutation after
-    /// [`crate::driver::drive_cm`].
+    /// [`crate::driver::drive_cm_with`].
     pub fn into_cm_permutation(self) -> Permutation {
         self.finish().0
     }
@@ -313,5 +334,80 @@ impl RcmRuntime for SerialBackend<'_> {
 
     fn spmspv_work(&self) -> usize {
         self.spmspv_work
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rcm;
+    use crate::testutil::scrambled_grid;
+    use rcm_sparse::{matrix_bandwidth, CooBuilder};
+
+    /// RCM through the serial driver — the matrix-algebraic formulation
+    /// (Algorithms 3–4) on one core.
+    fn serial_driver_rcm(a: &CscMatrix) -> (Permutation, DriverStats) {
+        let (cm, stats) =
+            SerialWorkspace::new().order_cm(a, ExpandDirection::from_env(), &StartNode::GeorgeLiu);
+        (cm.reversed(), stats)
+    }
+
+    fn scrambled_path(n: usize, stride: usize) -> CscMatrix {
+        let mut b = CooBuilder::new(n, n);
+        for v in 0..n - 1 {
+            b.push_sym(v as Vidx, (v + 1) as Vidx);
+        }
+        let perm: Vec<Vidx> = (0..n).map(|i| ((i * stride) % n) as Vidx).collect();
+        b.build()
+            .permute_sym(&Permutation::from_new_of_old(perm).unwrap())
+    }
+
+    #[test]
+    fn algebraic_equals_classical_on_path() {
+        let a = scrambled_path(40, 13);
+        assert_eq!(serial_driver_rcm(&a).0, rcm(&a));
+    }
+
+    #[test]
+    fn algebraic_equals_classical_on_grid() {
+        let a = scrambled_grid(9, 23);
+        let (alg, stats) = serial_driver_rcm(&a);
+        assert_eq!(alg, rcm(&a));
+        assert_eq!(stats.components, 1);
+        assert!(stats.spmspv_work > 0);
+    }
+
+    #[test]
+    fn algebraic_handles_components() {
+        let mut b = CooBuilder::new(7, 7);
+        b.push_sym(0, 1);
+        b.push_sym(2, 3);
+        b.push_sym(3, 4);
+        let a = b.build();
+        let (p, stats) = serial_driver_rcm(&a);
+        assert_eq!(p.len(), 7);
+        assert_eq!(stats.components, 4); // {0,1}, {2,3,4}, {5}, {6}
+        assert_eq!(p, rcm(&a));
+    }
+
+    #[test]
+    fn algebraic_rcm_reduces_bandwidth() {
+        let a = scrambled_path(60, 17);
+        let (p, _) = serial_driver_rcm(&a);
+        assert_eq!(matrix_bandwidth(&a.permute_sym(&p)), 1);
+    }
+
+    #[test]
+    fn empty_matrix() {
+        let (p, _) = serial_driver_rcm(&CscMatrix::empty(0));
+        assert_eq!(p.len(), 0);
+    }
+
+    #[test]
+    fn single_vertex() {
+        let (p, stats) = serial_driver_rcm(&CscMatrix::empty(1));
+        assert_eq!(p.len(), 1);
+        assert_eq!(stats.components, 1);
+        assert_eq!(stats.levels, 0);
     }
 }

@@ -10,11 +10,11 @@
 //! quality. Three of the paper's matrices (`ldoor` 2 dofs, `audikw_1` and
 //! `dielFilterV3real`/`Flan_1565` 3 dofs) compress substantially.
 //!
-//! [`rcm_compressed`] applies George–Liu RCM to the quotient with
-//! *expanded* degrees (each supervariable counts the vertices behind its
-//! neighbours) so the degree-based tie-breaking matches what plain RCM sees.
+//! [`rcm_compressed`] applies the classical George–Liu loop of
+//! [`crate::serial`] to the quotient with *expanded* degrees (each
+//! supervariable counts the vertices behind its neighbours) so the
+//! degree-based tie-breaking matches what plain RCM sees.
 
-use crate::peripheral::pseudo_peripheral_with_degrees;
 use rcm_sparse::{CscMatrix, Permutation, Vidx};
 
 /// Outcome statistics of compression.
@@ -138,8 +138,7 @@ pub fn rcm_compressed(a: &CscMatrix) -> (Permutation, CompressStats) {
     // Compression below ~15% does not pay for the quotient construction:
     // fall back to plain RCM (this is what production ordering codes do).
     if ns as f64 > 0.85 * n as f64 {
-        let (perm, _) = crate::serial::rcm(a);
-        return (perm, stats);
+        return (crate::rcm(a), stats);
     }
 
     // Quotient graph: the representative's adjacency, mapped to super ids.
@@ -178,39 +177,11 @@ pub fn rcm_compressed(a: &CscMatrix) -> (Permutation, CompressStats) {
         .collect();
 
     // George–Liu CM on the quotient with expanded degrees.
-    let mut label_of = vec![Vidx::MAX; ns];
-    let mut order: Vec<Vidx> = Vec::with_capacity(ns);
-    let mut children: Vec<Vidx> = Vec::new();
-    while order.len() < ns {
-        let seed = (0..ns)
-            .filter(|&s| label_of[s] == Vidx::MAX)
-            .min_by_key(|&s| (expanded_deg[s], s as Vidx))
-            .unwrap() as Vidx;
-        let root = pseudo_peripheral_with_degrees(&q, seed, &expanded_deg).vertex;
-        label_of[root as usize] = order.len() as Vidx;
-        order.push(root);
-        let mut head = order.len() - 1;
-        while head < order.len() {
-            let v = order[head];
-            head += 1;
-            children.clear();
-            for &w in q.col(v as usize) {
-                if label_of[w as usize] == Vidx::MAX {
-                    label_of[w as usize] = Vidx::MAX - 1;
-                    children.push(w);
-                }
-            }
-            children.sort_unstable_by_key(|&w| (expanded_deg[w as usize], w));
-            for &w in &children {
-                label_of[w as usize] = order.len() as Vidx;
-                order.push(w);
-            }
-        }
-    }
+    let (cm, _) = crate::serial::cuthill_mckee_with_degrees(&q, &expanded_deg);
 
     // Expand: supervariables in CM order, members ascending, then reverse.
     let mut full_order: Vec<Vidx> = Vec::with_capacity(n);
-    for &sid in &order {
+    for sid in cm.old_of_new() {
         full_order.extend_from_slice(&members[sid as usize]);
     }
     let perm = Permutation::from_order(&full_order)
@@ -264,7 +235,7 @@ mod tests {
     #[test]
     fn compressed_rcm_matches_plain_rcm_quality() {
         let a = chain_with_dofs(30, 2);
-        let (plain, _) = crate::serial::rcm(&a);
+        let plain = crate::rcm(&a);
         let (compressed, stats) = rcm_compressed(&a);
         assert_eq!(stats.supervariables, 30);
         assert!((stats.ratio - 2.0).abs() < 1e-9);
@@ -315,7 +286,7 @@ mod tests {
             dofs: 3,
         };
         let a = rcm_graphgen::shuffled(&spec.build(), 7);
-        let (plain, _) = crate::serial::rcm(&a);
+        let plain = crate::rcm(&a);
         let (compressed, stats) = rcm_compressed(&a);
         assert!(stats.ratio > 2.9, "ratio {}", stats.ratio);
         let bw_plain = ordering_bandwidth(&a, &plain) as f64;

@@ -1,10 +1,9 @@
 //! The distributed-memory RCM algorithm — Algorithms 3 and 4 of the paper
 //! executed on the `rcm-dist` simulated runtime.
 //!
-//! Since the [`crate::driver`] refactor this module holds only the run
-//! configuration and result types plus the [`dist_rcm`] shim: the
-//! BFS/peripheral/labeling pipeline lives **once** in
-//! [`crate::driver::drive_cm`], and `dist_rcm` runs it on
+//! This module holds only the run configuration and result types plus the
+//! [`dist_rcm`] front door: the BFS/peripheral/labeling pipeline lives
+//! **once** in [`crate::driver::drive_cm_with`], and `dist_rcm` runs it on
 //! [`crate::backends::DistBackend`] (flat MPI) or
 //! [`crate::backends::HybridBackend`] (`threads_per_proc > 1`, the Fig. 6
 //! MPI×OpenMP configuration). Every step charges simulated time to a
@@ -13,8 +12,8 @@
 //! benchmark harness plots.
 //!
 //! Determinism: with `balance_seed = None` the returned permutation is
-//! *identical* to [`crate::algebraic::algebraic_rcm`] for every grid size
-//! and thread count — the cross-backend tests rely on this. A load-balance
+//! *identical* to the serial driver's and to [`crate::rcm`] for every grid
+//! size and thread count — the cross-backend tests rely on this. A load-balance
 //! permutation relabels vertices internally, which can change
 //! `(degree, id)` tie-breaks; quality is unaffected but exact orderings may
 //! differ.
@@ -129,7 +128,7 @@ pub struct DistRcmResult {
 
 /// Run distributed RCM on a symmetric pattern matrix.
 ///
-/// A thin shim over a per-call [`crate::engine::OrderingEngine`]:
+/// Runs on a per-call [`crate::engine::OrderingEngine`]:
 /// `threads_per_proc > 1` selects the hybrid backend (compute charged
 /// through [`MachineModel::thread_speedup`]), otherwise the flat one — the
 /// data path, and therefore the permutation, is identical either way.
@@ -160,9 +159,17 @@ pub fn dist_rcm(a: &CscMatrix, config: &DistRcmConfig) -> DistRcmResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebraic::algebraic_rcm;
+    use crate::backends::SerialWorkspace;
     use rcm_dist::Phase;
     use rcm_sparse::{matrix_bandwidth, CooBuilder, Vidx};
+
+    /// RCM through the serial driver — the matrix-algebraic formulation on
+    /// one process, which every grid must reproduce.
+    fn algebraic_rcm_of(a: &CscMatrix) -> Permutation {
+        let (cm, _) =
+            SerialWorkspace::new().order_cm(a, ExpandDirection::from_env(), &StartNode::GeorgeLiu);
+        cm.reversed()
+    }
 
     fn scrambled_path(n: usize, stride: usize) -> CscMatrix {
         let mut b = CooBuilder::new(n, n);
@@ -204,7 +211,7 @@ mod tests {
     #[test]
     fn distributed_equals_algebraic_on_every_grid() {
         let a = scrambled_path(37, 11);
-        let (expect, _) = algebraic_rcm(&a);
+        let expect = algebraic_rcm_of(&a);
         for procs in [1usize, 4, 9, 16] {
             let res = dist_rcm(&a, &config_with_cores(procs));
             assert_eq!(res.perm, expect, "diverged on {procs} ranks");
@@ -214,7 +221,7 @@ mod tests {
     #[test]
     fn distributed_equals_algebraic_on_2d_grid_graph() {
         let a = grid_graph(11);
-        let (expect, _) = algebraic_rcm(&a);
+        let expect = algebraic_rcm_of(&a);
         for procs in [1usize, 9, 25] {
             let res = dist_rcm(&a, &config_with_cores(procs));
             assert_eq!(res.perm, expect, "diverged on {procs} ranks");
@@ -231,7 +238,7 @@ mod tests {
         b.push_sym(8, 9);
         b.push_sym(9, 7);
         let a = b.build();
-        let (expect, _) = algebraic_rcm(&a);
+        let expect = algebraic_rcm_of(&a);
         let res = dist_rcm(&a, &config_with_cores(4));
         assert_eq!(res.perm, expect);
         assert_eq!(res.components, 7); // {0,1,2} {3} {4} {5,6} {7,8,9} {10} {11}

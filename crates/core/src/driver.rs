@@ -10,7 +10,7 @@
 //! * [`RcmRuntime`] captures exactly the Table-I surface plus an associated
 //!   frontier type and a cost hook ([`RcmRuntime::set_phase`] /
 //!   [`RcmRuntime::now`]), and
-//! * [`drive_cm`] runs the pseudo-peripheral search (Algorithm 4), the
+//! * [`drive_cm_with`] runs the pseudo-peripheral search (Algorithm 4), the
 //!   level-synchronous BFS, and the labeling/`SORTPERM` pass (Algorithm 3)
 //!   generically — the only copy of that pipeline in the workspace.
 //!
@@ -18,10 +18,10 @@
 //!
 //! | backend | runtime | entry point |
 //! |---|---|---|
-//! | [`SerialBackend`] | sequential `rcm-sparse` vectors | [`crate::algebraic_rcm`] |
-//! | [`PooledBackend`] | work-stealing thread pool ([`crate::pool`]) | [`crate::par_rcm`] |
-//! | [`DistBackend`] | simulated 2D runtime (`rcm-dist`), flat MPI | [`crate::dist_rcm`] |
-//! | [`HybridBackend`] | `DistBackend` with `threads_per_proc > 1` (Fig. 6) | [`crate::dist_rcm`] |
+//! | [`SerialBackend`] | sequential `rcm-sparse` vectors | [`crate::OrderingEngine`] with [`BackendKind::Serial`] |
+//! | [`PooledBackend`] | work-stealing thread pool ([`crate::pool`]) | [`crate::OrderingEngine`] with [`BackendKind::Pooled`] |
+//! | [`DistBackend`] | simulated 2D runtime (`rcm-dist`), flat MPI | [`crate::dist_rcm`], or [`BackendKind::Dist`] |
+//! | [`HybridBackend`] | `DistBackend` with `threads_per_proc > 1` (Fig. 6) | [`crate::dist_rcm`], or [`BackendKind::Hybrid`] |
 //!
 //! All four produce **bit-identical** permutations — the cross-backend
 //! equality is enforced by the integration suite on every suite graph.
@@ -58,17 +58,17 @@
 //! reference — where neither cost exists and min-label forbids Beamer's
 //! early exit — keeps its adaptive runs push-only. Both directions
 //! compute the identical `(select2nd, min)` result — forced modes
-//! (`RCM_DIRECTION=push|pull|adaptive|alternate`, or
-//! [`drive_cm_directed`] / `DistRcmConfig::direction`) are bit-identical by
-//! construction and swept in CI. [`DriverStats`] records the direction
-//! chosen per level ([`LevelStat::direction`],
-//! [`DriverStats::pull_expands`]).
+//! (`RCM_DIRECTION=push|pull|adaptive|alternate`, or the `policy` argument
+//! of [`drive_cm_with`] / `EngineConfig::direction` /
+//! `DistRcmConfig::direction`) are bit-identical by construction and swept
+//! in CI. [`DriverStats`] records the direction chosen per level
+//! ([`LevelStat::direction`], [`DriverStats::pull_expands`]).
 //!
 //! # Worked example: running the generic driver on a backend
 //!
 //! ```
 //! use rcm_core::backends::SerialBackend;
-//! use rcm_core::driver::{drive_cm, LabelingMode};
+//! use rcm_core::driver::{drive_cm_with, ExpandDirection, LabelingMode, StartNode};
 //! use rcm_sparse::CooBuilder;
 //!
 //! // A path graph with scrambled vertex numbering.
@@ -80,7 +80,12 @@
 //!
 //! // Any `RcmRuntime` runs the identical Algorithm 3/4 pipeline.
 //! let mut rt = SerialBackend::new(&a);
-//! let stats = drive_cm(&mut rt, LabelingMode::PerLevel);
+//! let stats = drive_cm_with(
+//!     &mut rt,
+//!     LabelingMode::PerLevel,
+//!     ExpandDirection::Adaptive,
+//!     &StartNode::GeorgeLiu,
+//! );
 //! let cm = rt.into_cm_permutation();
 //! assert_eq!(stats.components, 1);
 //!
@@ -96,10 +101,11 @@
 //! (Algorithm 4) runs one full BFS per sweep, and the paper's Fig. 4
 //! breakdown shows the peripheral phase as a visible slice of distributed
 //! runtime — every sweep saved is a direct α–β communication win. The
-//! driver therefore takes the selection as a [`StartNodeStrategy`]
-//! ([`drive_cm_with`]); [`StartNode`] ships four implementations
-//! (George–Liu, the RCM++-style bi-criteria early-terminating finder,
-//! a fixed user vertex, and the zero-sweep minimum-degree baseline).
+//! driver therefore takes the selection as a [`StartNode`]
+//! ([`drive_cm_with`]), one solver with a pluggable node selector whose four
+//! variants are George–Liu, the RCM++-style bi-criteria early-terminating
+//! finder, a fixed user vertex, and the zero-sweep minimum-degree baseline
+//! ([`StartNode::select`] runs the chosen one).
 //!
 //! ```
 //! use rcm_core::backends::SerialBackend;
@@ -149,7 +155,7 @@
 //! [`HybridBackend`]: crate::backends::HybridBackend
 
 use rcm_dist::Phase;
-use rcm_sparse::{CscMatrix, Label, Permutation, Vidx};
+use rcm_sparse::{Label, Vidx};
 
 /// Adaptive push→pull switch, frontier-vs-remaining term: a level pulls
 /// only when `PULL_ALPHA · nnz(frontier) ≥ |unvisited|` — the frontier is
@@ -170,9 +176,10 @@ pub const PULL_BETA: usize = 16;
 /// actually chosen (only [`ExpandDirection::Push`] / [`ExpandDirection::Pull`]
 /// ever appear in [`LevelStat::direction`]).
 ///
-/// The policy enters [`drive_cm_directed`] explicitly, or through the
+/// The policy enters [`drive_cm_with`] explicitly (or
+/// `EngineConfig::direction`, `DistRcmConfig::direction`), or through the
 /// `RCM_DIRECTION` environment variable (`push`, `pull`, `adaptive`,
-/// `alternate`) for the plain entry points — every combination produces
+/// `alternate`) for the env-derived defaults — every combination produces
 /// the bit-identical permutation; only the cost changes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExpandDirection {
@@ -299,8 +306,8 @@ pub const BI_CRITERIA_GAIN_DIV: i64 = 8;
 /// `EngineConfig::builder().start_node(..)`, `rcm-order --start-node`,
 /// `DistRcmConfig::start_node`), or through the `RCM_START_NODE`
 /// environment variable (`george-liu`, `bi-criteria`, `min-degree`,
-/// `fixed:N`) for the env-driven entry points. Each variant implements
-/// [`StartNodeStrategy`]; custom strategies implement the trait directly.
+/// `fixed:N`) for the env-derived defaults. [`StartNode::select`] runs the
+/// chosen strategy.
 ///
 /// | strategy | sweeps | start vertex |
 /// |---|---|---|
@@ -392,48 +399,19 @@ impl StartNode {
             }
         }
     }
-}
 
-/// Per-component record of the start-node selection phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PeripheralStat {
-    /// The vertex the ordering pass started from.
-    pub start: Vidx,
-    /// BFS sweeps the strategy ran (0 for the zero-sweep strategies).
-    pub sweeps: usize,
-    /// Total BFS levels traversed across those sweeps.
-    pub levels: usize,
-    /// Final eccentricity measured from the returned vertex (0 when no
-    /// sweep ran).
-    pub eccentricity: usize,
-}
-
-/// A start-node selection strategy, generic over the runtime: given the
-/// component's min-degree seed, produce the vertex the ordering pass
-/// starts from.
-///
-/// Implementations run entirely on the Table-I primitives (any BFS sweeps
-/// go through the same [`RcmRuntime`] surface as the ordering pass, so
-/// the distributed backends charge — or save — the real α–β cost), must
-/// return a vertex in `seed`'s component that is still unvisited in `R`,
-/// and must be deterministic: the returned vertex may depend only on the
-/// graph and `seed`, never on execution order. [`StartNode`] implements
-/// this trait; [`drive_cm_with`] consumes it.
-pub trait StartNodeStrategy {
-    /// Select the start vertex for the component seeded at `seed`,
-    /// returning it with the phase's execution record (the driver appends
-    /// the record to [`DriverStats::peripheral_stats`]).
-    fn select<R: RcmRuntime>(
-        &self,
-        rt: &mut R,
-        seed: Vidx,
-        policy: ExpandDirection,
-        stats: &mut DriverStats,
-    ) -> (Vidx, PeripheralStat);
-}
-
-impl StartNodeStrategy for StartNode {
-    fn select<R: RcmRuntime>(
+    /// Select the start vertex for the component seeded at `seed` (the
+    /// component's unvisited vertex of minimum `(degree, vertex)`),
+    /// returning it with the phase's execution record; [`drive_cm_with`]
+    /// appends the record to [`DriverStats::peripheral_stats`].
+    ///
+    /// Every strategy runs entirely on the Table-I primitives (its BFS
+    /// sweeps go through the same [`RcmRuntime`] surface as the ordering
+    /// pass, so the distributed backends charge — or save — the real α–β
+    /// cost), returns a vertex in `seed`'s component that is still
+    /// unvisited in `R`, and is deterministic: the vertex depends only on
+    /// the graph and `seed`, never on execution order.
+    pub fn select<R: RcmRuntime>(
         &self,
         rt: &mut R,
         seed: Vidx,
@@ -473,6 +451,20 @@ impl StartNodeStrategy for StartNode {
             }
         }
     }
+}
+
+/// Per-component record of the start-node selection phase.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PeripheralStat {
+    /// The vertex the ordering pass started from.
+    pub start: Vidx,
+    /// BFS sweeps the strategy ran (0 for the zero-sweep strategies).
+    pub sweeps: usize,
+    /// Total BFS levels traversed across those sweeps.
+    pub levels: usize,
+    /// Final eccentricity measured from the returned vertex (0 when no
+    /// sweep ran).
+    pub eccentricity: usize,
 }
 
 /// Per-BFS-level execution record of the ordering pass (level-synchronous
@@ -528,11 +520,12 @@ pub struct DriverStats {
 /// # Contract
 ///
 /// Every primitive must produce the *value* its sequential specification
-/// produces ([`crate::algebraic`]); how it executes — serially, on a
-/// work-stealing pool, or on a simulated process grid — is the backend's
-/// business. Backends are free to fuse work across primitives (the pooled
-/// backend's SpMSpV already filters visited vertices and pre-sorts its
-/// output), as long as each call site still observes its specified result.
+/// produces ([`crate::backends::SerialBackend`]); how it executes —
+/// serially, on a work-stealing pool, or on a simulated process grid — is
+/// the backend's business. Backends are free to fuse work across
+/// primitives (the pooled backend's SpMSpV already filters visited
+/// vertices and pre-sorts its output), as long as each call site still
+/// observes its specified result.
 /// See [`crate::driver`]'s module docs for a worked example, and the
 /// README's "adding a backend" walk-through.
 pub trait RcmRuntime {
@@ -934,38 +927,13 @@ fn label_component_global_sort<R: RcmRuntime>(
     stats.levels += level as usize;
 }
 
-/// Run the full Cuthill-McKee pipeline (Algorithms 3 + 4, per connected
-/// component) on any backend, with the direction policy taken from the
-/// `RCM_DIRECTION` environment variable ([`ExpandDirection::from_env`],
-/// default [`ExpandDirection::Adaptive`]) and the start-node strategy from
-/// `RCM_START_NODE` ([`StartNode::from_env`], default
-/// [`StartNode::GeorgeLiu`]). See [`drive_cm_with`].
-pub fn drive_cm<R: RcmRuntime>(rt: &mut R, mode: LabelingMode) -> DriverStats {
-    drive_cm_with(
-        rt,
-        mode,
-        ExpandDirection::from_env(),
-        &StartNode::from_env(),
-    )
-}
-
-/// Run the full Cuthill-McKee pipeline (Algorithms 3 + 4, per connected
-/// component) on any backend under an explicit frontier-direction policy
-/// and the default George–Liu start-node search — the classical driver,
-/// bit for bit. See [`drive_cm_with`] for a pluggable strategy.
-pub fn drive_cm_directed<R: RcmRuntime>(
-    rt: &mut R,
-    mode: LabelingMode,
-    policy: ExpandDirection,
-) -> DriverStats {
-    drive_cm_with(rt, mode, policy, &StartNode::GeorgeLiu)
-}
-
 /// Run the full Cuthill-McKee pipeline (Algorithm 3 per connected
 /// component) on any backend under an explicit frontier-direction policy
-/// and an explicit [`StartNodeStrategy`]. On return the backend's ordering
-/// vector `R` holds the unreversed CM labels; extraction (reversal,
-/// mapping back to original ids) is backend-specific.
+/// and start-node strategy — the one copy of the pipeline, and the entry
+/// point for backend authors (applications order through
+/// [`crate::OrderingEngine`], [`crate::dist_rcm`] or [`crate::rcm`]). On
+/// return the backend's ordering vector `R` holds the unreversed CM labels;
+/// extraction (reversal, mapping back to original ids) is backend-specific.
 ///
 /// Components are seeded at the unvisited vertex of minimum
 /// `(degree, vertex)` and handed to the strategy for refinement (the
@@ -974,11 +942,11 @@ pub fn drive_cm_directed<R: RcmRuntime>(
 /// assignment for a given strategy, under **every** direction policy (the
 /// pull expansion is specified to reproduce the push pair bit for bit;
 /// only the cost differs).
-pub fn drive_cm_with<R: RcmRuntime, S: StartNodeStrategy + ?Sized>(
+pub fn drive_cm_with<R: RcmRuntime>(
     rt: &mut R,
     mode: LabelingMode,
     policy: ExpandDirection,
-    strategy: &S,
+    strategy: &StartNode,
 ) -> DriverStats {
     let n = rt.n();
     let mut stats = DriverStats::default();
@@ -997,11 +965,11 @@ pub fn drive_cm_with<R: RcmRuntime, S: StartNodeStrategy + ?Sized>(
     stats
 }
 
-/// Backend selector for [`rcm_with_backend`] — the uniform entry the
+/// Backend selector of an [`crate::EngineConfig`] — the uniform switch the
 /// cross-backend tests and the `repro backends` sweep use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendKind {
-    /// [`crate::backends::SerialBackend`] (via [`crate::algebraic_rcm`]).
+    /// [`crate::backends::SerialBackend`].
     Serial,
     /// [`crate::backends::PooledBackend`] with this many worker threads.
     Pooled {
@@ -1034,39 +1002,11 @@ impl BackendKind {
     }
 }
 
-/// Compute the RCM permutation of `a` on the chosen backend, direction
-/// policy from the environment ([`ExpandDirection::from_env`]).
-///
-/// Every backend returns the bit-identical permutation; they differ only in
-/// how (and at what modeled cost) they execute the shared generic driver.
-pub fn rcm_with_backend(a: &CscMatrix, kind: BackendKind) -> Permutation {
-    rcm_with_backend_directed(a, kind, ExpandDirection::from_env())
-}
-
-/// [`rcm_with_backend`] under an explicit frontier-direction policy — the
-/// uniform entry of the forced-direction equivalence tests and the
-/// `repro direction` ablation. A thin shim over a per-call
-/// [`crate::engine::OrderingEngine`]; sessions that order many matrices
-/// should hold a warm engine instead.
-pub fn rcm_with_backend_directed(
-    a: &CscMatrix,
-    kind: BackendKind,
-    direction: ExpandDirection,
-) -> Permutation {
-    crate::engine::order_once(
-        crate::engine::EngineConfig::builder()
-            .backend(kind)
-            .direction(direction)
-            .build(),
-        a,
-    )
-    .perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcm_sparse::CooBuilder;
+    use crate::engine::{EngineConfig, OrderingEngine};
+    use rcm_sparse::{CooBuilder, CscMatrix};
 
     fn path(n: usize) -> CscMatrix {
         let mut b = CooBuilder::new(n, n);
@@ -1094,7 +1034,8 @@ mod tests {
     #[test]
     fn rcm_with_backend_agrees_across_all_kinds() {
         let a = path(23);
-        let expect = rcm_with_backend(&a, BackendKind::Serial);
+        let rcm_with = |kind| OrderingEngine::with_backend(kind).order(&a).perm;
+        let expect = rcm_with(BackendKind::Serial);
         for kind in [
             BackendKind::Pooled { threads: 3 },
             BackendKind::Dist { cores: 4 },
@@ -1103,12 +1044,7 @@ mod tests {
                 threads_per_proc: 6,
             },
         ] {
-            assert_eq!(
-                rcm_with_backend(&a, kind),
-                expect,
-                "{} diverged",
-                kind.name()
-            );
+            assert_eq!(rcm_with(kind), expect, "{} diverged", kind.name());
         }
     }
 
@@ -1121,7 +1057,12 @@ mod tests {
         b.push_sym(3, 4);
         let a = b.build();
         let mut rt = SerialBackend::new(&a);
-        let stats = drive_cm(&mut rt, LabelingMode::PerLevel);
+        let stats = drive_cm_with(
+            &mut rt,
+            LabelingMode::PerLevel,
+            ExpandDirection::from_env(),
+            &StartNode::from_env(),
+        );
         assert_eq!(stats.components, 4); // {0,1}, {2,3,4}, {5}, {6}
         assert!(stats.spmspv_work > 0);
         let labeled: usize = stats.level_stats.iter().map(|l| l.frontier).sum();
@@ -1186,7 +1127,12 @@ mod tests {
         let a = path(40);
         let reference = {
             let mut rt = SerialBackend::new(&a);
-            drive_cm_directed(&mut rt, LabelingMode::PerLevel, ExpandDirection::Push);
+            drive_cm_with(
+                &mut rt,
+                LabelingMode::PerLevel,
+                ExpandDirection::Push,
+                &StartNode::GeorgeLiu,
+            );
             rt.into_order()
         };
         for policy in [
@@ -1195,7 +1141,12 @@ mod tests {
             ExpandDirection::Alternating,
         ] {
             let mut rt = SerialBackend::new(&a);
-            let stats = drive_cm_directed(&mut rt, LabelingMode::PerLevel, policy);
+            let stats = drive_cm_with(
+                &mut rt,
+                LabelingMode::PerLevel,
+                policy,
+                &StartNode::GeorgeLiu,
+            );
             assert_eq!(rt.into_order(), reference, "{} diverged", policy.name());
             match policy {
                 ExpandDirection::Pull => {
@@ -1251,11 +1202,7 @@ mod tests {
     fn george_liu_strategy_is_the_classical_driver_bit_for_bit() {
         use crate::backends::SerialBackend;
         let a = crate::testutil::scrambled_grid(9, 7);
-        let (classical, classical_stats) = {
-            let mut rt = SerialBackend::new(&a);
-            let stats = drive_cm_directed(&mut rt, LabelingMode::PerLevel, ExpandDirection::Push);
-            (rt.into_order(), stats)
-        };
+        let (classical, classical_stats) = crate::serial::cuthill_mckee(&a);
         let mut rt = SerialBackend::new(&a);
         let stats = drive_cm_with(
             &mut rt,
@@ -1263,7 +1210,7 @@ mod tests {
             ExpandDirection::Push,
             &StartNode::GeorgeLiu,
         );
-        assert_eq!(rt.into_order(), classical);
+        assert_eq!(rt.into_cm_permutation(), classical);
         assert_eq!(stats.peripheral_bfs, classical_stats.peripheral_bfs);
         assert_eq!(stats.peripheral_stats.len(), stats.components);
         let p = &stats.peripheral_stats[0];
@@ -1337,26 +1284,28 @@ mod tests {
         assert_eq!(rt.into_order()[4], 0);
 
         // Out of range: identical to George–Liu.
-        let reference = {
+        let run = |s: StartNode| {
             let mut rt = SerialBackend::new(&a);
-            drive_cm_directed(&mut rt, LabelingMode::PerLevel, ExpandDirection::Push);
-            rt.into_order()
+            let stats = drive_cm_with(&mut rt, LabelingMode::PerLevel, ExpandDirection::Push, &s);
+            (rt.into_order(), stats)
         };
-        let mut rt = SerialBackend::new(&a);
-        let stats = drive_cm_with(
-            &mut rt,
-            LabelingMode::PerLevel,
-            ExpandDirection::Push,
-            &StartNode::Fixed(99),
-        );
+        let (reference, _) = run(StartNode::GeorgeLiu);
+        let (order, stats) = run(StartNode::Fixed(99));
         assert!(stats.peripheral_bfs >= 1);
-        assert_eq!(rt.into_order(), reference);
+        assert_eq!(order, reference);
     }
 
     #[test]
     fn rcm_with_backend_directed_agrees_across_kinds_and_directions() {
         let a = path(23);
-        let expect = rcm_with_backend_directed(&a, BackendKind::Serial, ExpandDirection::Push);
+        let rcm_with = |kind, direction| {
+            let config = EngineConfig::builder()
+                .backend(kind)
+                .direction(direction)
+                .build();
+            OrderingEngine::new(config).order(&a).perm
+        };
+        let expect = rcm_with(BackendKind::Serial, ExpandDirection::Push);
         for direction in [
             ExpandDirection::Push,
             ExpandDirection::Pull,
@@ -1373,7 +1322,7 @@ mod tests {
                 },
             ] {
                 assert_eq!(
-                    rcm_with_backend_directed(&a, kind, direction),
+                    rcm_with(kind, direction),
                     expect,
                     "{} diverged under {}",
                     kind.name(),

@@ -2,9 +2,8 @@
 //!
 //! The paper positions RCM as a *preprocessing* step that runs in front of
 //! every iterative solve (§I), which in production means ordering a stream
-//! of matrices, not one. Every per-call entry point
-//! ([`crate::algebraic_rcm`], [`crate::par_rcm`], [`crate::dist_rcm`],
-//! [`crate::rcm_with_backend`]) pays the full backend construction on each
+//! of matrices, not one. A per-call ordering ([`crate::dist_rcm`], or a
+//! fresh engine per matrix) pays the full backend construction on each
 //! call — dense companions, SpMSpV accumulators, and (for the pooled
 //! backend) the worker threads themselves. The engine amortizes all of it
 //! across calls and across matrices:
@@ -18,21 +17,20 @@
 //!        │                               a small matrix after a huge one
 //!        │                               reuses memory, no realloc
 //!        ▼
-//! drive:  drive_cm over the reinstalled  the one generic Algorithm 3/4
-//!        │ runtime                       pipeline of [`crate::driver`]
+//! drive:  drive_cm_with over the         the one generic Algorithm 3/4
+//!        │ reinstalled runtime           pipeline of [`crate::driver`]
 //!        ▼
 //! report: OrderingReport                 permutation + bandwidth before/
 //!                                        after + DriverStats + timing
 //! ```
 //!
 //! Batch calls add a second level of parallelism on the pooled backend:
-//! matrices too small to ever cross the pool's sequential cutover are
-//! ordered **whole, one per worker** (the pool's batch job), while large
-//! matrices take the usual level-parallel path — the policy is by matrix
-//! size ([`EngineConfig::batch_small_cutoff`]). Either way every
-//! permutation is bit-identical to the corresponding single-shot
-//! [`crate::rcm_with_backend`] call; the cross-backend equivalence suite
-//! extends over warm reuse.
+//! matrices too small to ever cross the pool's sequential cutover
+//! ([`crate::pool::PoolConfig::seq_cutoff`]) are ordered **whole, one per
+//! worker** (the pool's batch job), while large matrices take the usual
+//! level-parallel path. Either way every permutation is bit-identical to a
+//! fresh engine's [`OrderingEngine::order`] on the same backend; the
+//! cross-backend equivalence suite extends over warm reuse.
 //!
 //! # Worked example: one warm engine, many matrices
 //!
@@ -65,7 +63,7 @@
 //! assert_eq!(engine.orderings(), 3);
 //! ```
 
-use crate::backends::{DistBackend, HybridBackend, SerialBackend, SerialWorkspace};
+use crate::backends::{DistBackend, HybridBackend, SerialWorkspace};
 use crate::compress::{rcm_compressed, CompressStats};
 use crate::distributed::{DistRcmConfig, DistRcmResult, SortMode};
 use crate::driver::{
@@ -148,12 +146,6 @@ pub struct EngineConfig {
     /// with the paper's defaults, derived from `backend`. The engine's
     /// `backend` and `direction` fields stay authoritative either way.
     pub dist: Option<DistRcmConfig>,
-    /// Batch-mode size policy: matrices with fewer rows than this are
-    /// ordered whole, one per pool worker, instead of level-parallel.
-    /// `None` = the pool's sequential cutover
-    /// ([`crate::pool::PoolConfig::seq_cutoff`]) — a matrix below it could
-    /// never produce a frontier that engages the workers anyway.
-    pub batch_small_cutoff: Option<usize>,
     /// Give the engine a private pattern-fingerprint ordering cache
     /// ([`crate::service::PatternCache`]): identical patterns return the
     /// cached permutation in O(nnz) hash time, reports carry
@@ -180,8 +172,7 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// Start building a configuration. Defaults: serial backend, direction
     /// from `RCM_DIRECTION`, start node from `RCM_START_NODE`, no
-    /// compression, paper-default distributed model, batch cutoff from the
-    /// pool, no cache.
+    /// compression, paper-default distributed model, no cache.
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             config: EngineConfig {
@@ -190,27 +181,10 @@ impl EngineConfig {
                 start_node: StartNode::from_env(),
                 compress: false,
                 dist: None,
-                batch_small_cutoff: None,
                 cache: None,
                 split_components: false,
             },
         }
-    }
-
-    /// Defaults for a backend: direction from `RCM_DIRECTION`, no
-    /// compression, paper-default distributed model, cutoff from the pool.
-    #[deprecated(note = "use `EngineConfig::builder().backend(..).build()`")]
-    pub fn new(backend: BackendKind) -> Self {
-        EngineConfig::builder().backend(backend).build()
-    }
-
-    /// A backend with an explicit direction policy.
-    #[deprecated(note = "use `EngineConfig::builder().backend(..).direction(..).build()`")]
-    pub fn directed(backend: BackendKind, direction: ExpandDirection) -> Self {
-        EngineConfig::builder()
-            .backend(backend)
-            .direction(direction)
-            .build()
     }
 }
 
@@ -224,16 +198,6 @@ impl EngineConfigBuilder {
     /// Select the [`crate::driver::RcmRuntime`] backend.
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.config.backend = backend;
-        self
-    }
-
-    /// Shorthand for the pooled backend at `threads` workers (clamped to
-    /// ≥ 1) — `builder().threads(4)` ≡ `builder().backend(BackendKind::
-    /// Pooled { threads: 4 })`.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.backend = BackendKind::Pooled {
-            threads: threads.max(1),
-        };
         self
     }
 
@@ -261,12 +225,6 @@ impl EngineConfigBuilder {
     /// backends (machine model, balance seed, sort mode).
     pub fn dist(mut self, dist: DistRcmConfig) -> Self {
         self.config.dist = Some(dist);
-        self
-    }
-
-    /// Set the batch-mode size policy ([`EngineConfig::batch_small_cutoff`]).
-    pub fn batch_small_cutoff(mut self, rows: usize) -> Self {
-        self.config.batch_small_cutoff = Some(rows);
         self
     }
 
@@ -346,13 +304,26 @@ impl OrderingReport {
 }
 
 /// The permutation and execution record of one ordering, before quality
-/// metrics — what the thin per-call shims need.
-pub(crate) struct RawOrdering {
-    pub(crate) perm: Permutation,
-    pub(crate) stats: DriverStats,
-    pub(crate) parallel_levels: usize,
-    pub(crate) sim: Option<DistRcmResult>,
-    pub(crate) compress: Option<CompressStats>,
+/// metrics.
+struct RawOrdering {
+    perm: Permutation,
+    stats: DriverStats,
+    parallel_levels: usize,
+    sim: Option<DistRcmResult>,
+    compress: Option<CompressStats>,
+}
+
+impl RawOrdering {
+    /// A permutation and driver record, with every optional part empty.
+    fn new(perm: Permutation, stats: DriverStats) -> Self {
+        RawOrdering {
+            perm,
+            stats,
+            parallel_levels: 0,
+            sim: None,
+            compress: None,
+        }
+    }
 }
 
 /// A long-lived ordering session: one instance of the configured backend
@@ -486,11 +457,12 @@ impl OrderingEngine {
     /// report per input in input order.
     ///
     /// On a multithreaded pooled backend the schedule is two-level:
-    /// matrices below [`EngineConfig::batch_small_cutoff`] are ordered
-    /// whole, one per worker, on the same pool (they could never engage the
-    /// level-parallel pipeline), while larger ones run level-parallel as
-    /// usual. Other backends order sequentially through the warm
-    /// workspaces. Permutations are bit-identical to per-matrix
+    /// matrices below the pool's sequential cutover
+    /// ([`crate::pool::PoolConfig::seq_cutoff`]) are ordered whole, one per
+    /// worker, on the same pool (they could never engage the level-parallel
+    /// pipeline), while larger ones run level-parallel as usual. Other
+    /// backends order sequentially through the warm workspaces.
+    /// Permutations are bit-identical to per-matrix
     /// [`OrderingEngine::order`] calls either way.
     pub fn order_batch(&mut self, mats: &[CscMatrix]) -> Vec<OrderingReport> {
         // A caching engine routes per-matrix through `order` so every
@@ -511,10 +483,7 @@ impl OrderingEngine {
     /// The two-level pooled batch schedule (see [`OrderingEngine::order_batch`]).
     fn order_batch_pooled(&mut self, mats: &[CscMatrix]) -> Vec<OrderingReport> {
         let pool = self.pool.as_mut().expect("pooled engine owns a pool");
-        let cutoff = self
-            .config
-            .batch_small_cutoff
-            .unwrap_or(pool.config().seq_cutoff);
+        let cutoff = pool.config().seq_cutoff;
         let small_idx: Vec<usize> = (0..mats.len())
             .filter(|&i| mats[i].n_rows() < cutoff)
             .collect();
@@ -553,17 +522,14 @@ impl OrderingEngine {
     }
 
     /// One ordering on the warm backend, without quality metrics — the
-    /// body of [`OrderingEngine::order`] and of the thin per-call shims.
-    pub(crate) fn order_raw(&mut self, a: &CscMatrix) -> RawOrdering {
+    /// body of [`OrderingEngine::order`].
+    fn order_raw(&mut self, a: &CscMatrix) -> RawOrdering {
         self.orderings += 1;
         if self.config.compress {
             let (perm, stats) = rcm_compressed(a);
             return RawOrdering {
-                perm,
-                stats: DriverStats::default(),
-                parallel_levels: 0,
-                sim: None,
                 compress: Some(stats),
+                ..RawOrdering::new(perm, DriverStats::default())
             };
         }
         if self.config.split_components {
@@ -572,60 +538,46 @@ impl OrderingEngine {
                 return self.order_split(a, &comps);
             }
         }
+        if let BackendKind::Dist { .. } | BackendKind::Hybrid { .. } = self.config.backend {
+            let result = self.order_dist(a);
+            let (perm, stats) = (result.perm.clone(), driver_stats(&result));
+            return RawOrdering {
+                sim: Some(result),
+                ..RawOrdering::new(perm, stats)
+            };
+        }
+        let start_node = self.config.start_node;
+        let (cm, stats, parallel_levels) = self.order_cm(a, &start_node);
+        RawOrdering {
+            parallel_levels,
+            ..RawOrdering::new(cm.reversed(), stats)
+        }
+    }
+
+    /// One unreversed Cuthill-McKee ordering of `a` on the warm backend —
+    /// one body per backend: [`SerialWorkspace`]'s for serial, the pool's
+    /// level-parallel pipeline for pooled, a simulated run for dist/hybrid.
+    /// Returns the CM permutation, the driver record, and the count of
+    /// pooled expansions that ran in parallel.
+    fn order_cm(
+        &mut self,
+        a: &CscMatrix,
+        start_node: &StartNode,
+    ) -> (Permutation, DriverStats, usize) {
+        let direction = self.config.direction;
         match self.config.backend {
             BackendKind::Serial => {
-                let ws = std::mem::take(&mut self.serial_ws);
-                let mut rt = SerialBackend::warm(a, ws);
-                let stats = drive_cm_with(
-                    &mut rt,
-                    LabelingMode::PerLevel,
-                    self.config.direction,
-                    &self.config.start_node,
-                );
-                let (cm, ws) = rt.finish();
-                self.serial_ws = ws;
-                RawOrdering {
-                    perm: cm.reversed(),
-                    stats,
-                    parallel_levels: 0,
-                    sim: None,
-                    compress: None,
-                }
+                let (cm, stats) = self.serial_ws.order_cm(a, direction, start_node);
+                (cm, stats, 0)
             }
-            BackendKind::Pooled { .. } => {
-                let pool = self.pool.as_mut().expect("pooled engine owns a pool");
-                let (cm, stats, parallel_levels) = crate::shared::pooled_cm_raw(
-                    a,
-                    pool,
-                    self.config.direction,
-                    self.config.start_node,
-                );
-                RawOrdering {
-                    perm: cm.reversed(),
-                    stats,
-                    parallel_levels,
-                    sim: None,
-                    compress: None,
-                }
-            }
+            BackendKind::Pooled { .. } => self
+                .pool
+                .as_mut()
+                .expect("pooled engine owns a pool")
+                .order_cm(a, direction, start_node),
             BackendKind::Dist { .. } | BackendKind::Hybrid { .. } => {
-                let result = self.order_dist(a);
-                RawOrdering {
-                    perm: result.perm.clone(),
-                    stats: DriverStats {
-                        components: result.components,
-                        peripheral_bfs: result.peripheral_bfs,
-                        levels: result.levels,
-                        spmspv_work: 0,
-                        push_expands: result.push_expands,
-                        pull_expands: result.pull_expands,
-                        level_stats: result.level_stats.clone(),
-                        peripheral_stats: result.peripheral_stats.clone(),
-                    },
-                    parallel_levels: 0,
-                    sim: Some(result),
-                    compress: None,
-                }
+                let result = self.order_dist_with(a, *start_node);
+                (result.perm.reversed(), driver_stats(&result), 0)
             }
         }
     }
@@ -696,84 +648,42 @@ impl OrderingEngine {
         // Order every piece on the warm backend. Results are unreversed CM
         // permutations in local ids, indexed by component id.
         let mut results: Vec<Option<(Permutation, DriverStats)>> = (0..k).map(|_| None).collect();
+        if let BackendKind::Pooled { .. } = self.config.backend {
+            let pool = self.pool.as_mut().expect("pooled engine owns a pool");
+            let cutoff = pool.config().seq_cutoff;
+            // Pieces go whole-per-worker through the pool's batch job
+            // unless one is a true giant — above the level cutoff AND
+            // holding a strict majority of the vertices. Only then can
+            // level parallelism beat component parallelism: with the
+            // work spread over several comparable pieces, running them
+            // whole on separate workers is sync-free and keeps every
+            // worker busy, while the level pipeline would serialize
+            // the pieces and pay per-level sync on narrow frontiers.
+            // The batch job runs one strategy for all its pieces, so a
+            // piece with a divergent (fixed-vertex) strategy takes the
+            // level-parallel path below instead.
+            let batch_strategy = match self.config.start_node {
+                StartNode::Fixed(_) => StartNode::GeorgeLiu,
+                uniform => uniform,
+            };
+            let small_idx: Vec<usize> = (0..k)
+                .filter(|&c| {
+                    let rows = pieces[c].matrix.n_rows();
+                    piece_strategy[c] == batch_strategy && (rows < cutoff || 2 * rows <= n)
+                })
+                .collect();
+            let smalls: Vec<&CscMatrix> = small_idx.iter().map(|&c| &pieces[c].matrix).collect();
+            let small_cm = pool.order_cm_batch(&smalls, self.config.direction, batch_strategy);
+            for (&c, res) in small_idx.iter().zip(small_cm) {
+                results[c] = Some(res);
+            }
+        }
         let mut parallel_levels = 0usize;
-        match self.config.backend {
-            BackendKind::Serial => {
-                for (c, piece) in pieces.iter().enumerate() {
-                    let ws = std::mem::take(&mut self.serial_ws);
-                    let mut rt = SerialBackend::warm(&piece.matrix, ws);
-                    let stats = drive_cm_with(
-                        &mut rt,
-                        LabelingMode::PerLevel,
-                        self.config.direction,
-                        &piece_strategy[c],
-                    );
-                    let (cm, ws) = rt.finish();
-                    self.serial_ws = ws;
-                    results[c] = Some((cm, stats));
-                }
-            }
-            BackendKind::Pooled { .. } => {
-                let pool = self.pool.as_mut().expect("pooled engine owns a pool");
-                let cutoff = self
-                    .config
-                    .batch_small_cutoff
-                    .unwrap_or(pool.config().seq_cutoff);
-                // Pieces go whole-per-worker through the pool's batch job
-                // unless one is a true giant — above the level cutoff AND
-                // holding a strict majority of the vertices. Only then can
-                // level parallelism beat component parallelism: with the
-                // work spread over several comparable pieces, running them
-                // whole on separate workers is sync-free and keeps every
-                // worker busy, while the level pipeline would serialize
-                // the pieces and pay per-level sync on narrow frontiers.
-                // The batch job runs one strategy for all its pieces, so a
-                // piece with a divergent (fixed-vertex) strategy takes the
-                // level-parallel path below instead.
-                let batch_strategy = match self.config.start_node {
-                    StartNode::Fixed(_) => StartNode::GeorgeLiu,
-                    uniform => uniform,
-                };
-                let small_idx: Vec<usize> = (0..k)
-                    .filter(|&c| {
-                        let rows = pieces[c].matrix.n_rows();
-                        piece_strategy[c] == batch_strategy && (rows < cutoff || 2 * rows <= n)
-                    })
-                    .collect();
-                let smalls: Vec<&CscMatrix> =
-                    small_idx.iter().map(|&c| &pieces[c].matrix).collect();
-                let small_cm = pool.order_cm_batch(&smalls, self.config.direction, batch_strategy);
-                for (&c, res) in small_idx.iter().zip(small_cm) {
-                    results[c] = Some(res);
-                }
-                for (c, slot) in results.iter_mut().enumerate() {
-                    if slot.is_none() {
-                        let (cm, stats, levels) = crate::shared::pooled_cm_raw(
-                            &pieces[c].matrix,
-                            pool,
-                            self.config.direction,
-                            piece_strategy[c],
-                        );
-                        parallel_levels += levels;
-                        *slot = Some((cm, stats));
-                    }
-                }
-            }
-            BackendKind::Dist { .. } | BackendKind::Hybrid { .. } => {
-                for (c, piece) in pieces.iter().enumerate() {
-                    let result = self.order_dist_with(&piece.matrix, piece_strategy[c]);
-                    let stats = DriverStats {
-                        components: result.components,
-                        peripheral_bfs: result.peripheral_bfs,
-                        levels: result.levels,
-                        spmspv_work: 0,
-                        push_expands: result.push_expands,
-                        pull_expands: result.pull_expands,
-                        level_stats: result.level_stats.clone(),
-                        peripheral_stats: result.peripheral_stats.clone(),
-                    };
-                    results[c] = Some((result.perm.reversed(), stats));
-                }
+        for (c, slot) in results.iter_mut().enumerate() {
+            if slot.is_none() {
+                let (cm, stats, levels) = self.order_cm(&pieces[c].matrix, &piece_strategy[c]);
+                parallel_levels += levels;
+                *slot = Some((cm, stats));
             }
         }
 
@@ -807,18 +717,16 @@ impl OrderingEngine {
                 }));
         }
         self.splitter = splitter;
+        let perm = Permutation::from_new_of_old(new_of_old)
+            .expect("stitched component labels form a bijection");
         RawOrdering {
-            perm: Permutation::from_new_of_old(new_of_old)
-                .expect("stitched component labels form a bijection"),
-            stats,
             parallel_levels,
-            sim: None,
-            compress: None,
+            ..RawOrdering::new(perm, stats)
         }
     }
 
     /// One ordering on the warm dist/hybrid backend, returning the full
-    /// simulated result directly — the [`crate::dist_rcm`] shim's body,
+    /// simulated result directly — also the body of [`crate::dist_rcm`],
     /// which needs no second copy of the permutation or level trace.
     pub(crate) fn order_dist(&mut self, a: &CscMatrix) -> DistRcmResult {
         self.order_dist_with(a, self.config.start_node)
@@ -877,20 +785,27 @@ impl OrderingEngine {
     }
 }
 
-/// Run `a` once through a fresh single-use engine — the per-call shims'
-/// body ([`crate::algebraic_rcm`], [`crate::par_rcm`], [`crate::dist_rcm`],
-/// [`crate::rcm_with_backend`] all route here).
-pub(crate) fn order_once(config: EngineConfig, a: &CscMatrix) -> RawOrdering {
-    OrderingEngine::new(config).order_raw(a)
+/// The driver record of a simulated run, in the backend-independent shape
+/// every [`OrderingReport`] carries.
+fn driver_stats(result: &DistRcmResult) -> DriverStats {
+    DriverStats {
+        components: result.components,
+        peripheral_bfs: result.peripheral_bfs,
+        levels: result.levels,
+        spmspv_work: 0,
+        push_expands: result.push_expands,
+        pull_expands: result.pull_expands,
+        level_stats: result.level_stats.clone(),
+        peripheral_stats: result.peripheral_stats.clone(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::rcm_with_backend;
     use rcm_sparse::{CooBuilder, Vidx};
 
-    use crate::testutil::scrambled_grid;
+    use crate::testutil::{scrambled_grid, single_shot};
 
     #[test]
     fn warm_engine_matches_single_shot_on_every_backend() {
@@ -913,7 +828,7 @@ mod tests {
                 let report = engine.order(a);
                 assert_eq!(
                     report.perm,
-                    rcm_with_backend(a, kind),
+                    single_shot(a, kind),
                     "{} engine diverged on matrix {i}",
                     kind.name()
                 );
@@ -987,7 +902,7 @@ mod tests {
         for (i, (a, report)) in mats.iter().zip(&reports).enumerate() {
             assert_eq!(
                 report.perm,
-                rcm_with_backend(a, kind),
+                single_shot(a, kind),
                 "batch slot {i} diverged from single-shot"
             );
             assert_eq!(report.n, a.n_rows());
@@ -1019,7 +934,7 @@ mod tests {
         assert_eq!(reports[0].cache, Some(crate::service::CacheOutcome::Hit));
         assert_eq!(reports[1].cache, Some(crate::service::CacheOutcome::Miss));
         assert_eq!(reports[2].cache, Some(crate::service::CacheOutcome::Hit));
-        assert_eq!(reports[1].perm, rcm_with_backend(&b, BackendKind::Serial));
+        assert_eq!(reports[1].perm, single_shot(&b, BackendKind::Serial));
         let stats = engine.cache_stats().expect("cache configured");
         assert_eq!(stats.hits, 3);
         assert_eq!(stats.misses, 2);
@@ -1073,7 +988,7 @@ mod tests {
                 threads_per_proc: 6,
             },
         ] {
-            let sequential = rcm_with_backend(&a, kind);
+            let sequential = single_shot(&a, kind);
             let mut engine = OrderingEngine::new(
                 EngineConfig::builder()
                     .backend(kind)
@@ -1090,10 +1005,7 @@ mod tests {
             assert_eq!(report.stats.components, 4);
             // A connected matrix takes the ordinary path under the flag.
             let connected = scrambled_grid(6, 7);
-            assert_eq!(
-                engine.order(&connected).perm,
-                rcm_with_backend(&connected, kind)
-            );
+            assert_eq!(engine.order(&connected).perm, single_shot(&connected, kind));
         }
     }
 

@@ -1,5 +1,6 @@
 //! Work-stealing shared-memory execution backend for the level-synchronous
-//! RCM of [`crate::shared`].
+//! RCM of [`crate::backends::PooledBackend`] — the SpMP-style baseline of
+//! Table II.
 //!
 //! The original backend split each frontier statically into `nthreads`
 //! contiguous chunks and spawned fresh OS threads *per level*, so one heavy
@@ -58,7 +59,7 @@
 //! `(parent, degree, vertex)` stream a push level would.
 //!
 //! **Batch jobs.** Besides level expansions, the gate can post a *batch*
-//! job ([`RcmPool::order_cm_batch`]): workers claim whole matrices
+//! job (`RcmPool::order_cm_batch`): workers claim whole matrices
 //! (one-ordering-per-claim, claim granularity 1) and run the complete
 //! sequential Cuthill-McKee pipeline on each, using a worker-local
 //! [`SerialWorkspace`] that stays warm across batch jobs. This is the
@@ -71,7 +72,7 @@
 //! to the coordinator. Levels below [`PoolConfig::seq_cutoff`] never touch
 //! the workers.
 
-use crate::backends::serial::{SerialBackend, SerialWorkspace};
+use crate::backends::{PooledBackend, SerialWorkspace};
 use crate::driver::{drive_cm_with, DriverStats, ExpandDirection, LabelingMode, StartNode};
 use rcm_sparse::{CscMatrix, Label, Permutation, VertexBitmap, Vidx, UNVISITED};
 use std::ops::Range;
@@ -199,7 +200,7 @@ enum JobKind {
         pull: bool,
     },
     /// Whole sequential orderings, claimed one matrix at a time
-    /// ([`RcmPool::order_cm_batch`]).
+    /// (`RcmPool::order_cm_batch`).
     Batch,
 }
 
@@ -232,7 +233,7 @@ struct Gate {
 /// # Safety discipline
 ///
 /// The pointers are installed at the start of [`RcmPool::run`] /
-/// [`RcmPool::order_cm_batch`] and remain valid for the whole call (they
+/// `RcmPool::order_cm_batch` and remain valid for the whole call (they
 /// point into the caller's arguments or the call's stack frame). Workers
 /// dereference them **only** while executing a posted job, and the
 /// coordinator never returns from the posting call before every worker has
@@ -551,6 +552,26 @@ impl RcmPool {
         result
     }
 
+    /// One Cuthill-McKee ordering of `a` on the level-parallel pipeline,
+    /// through the warm degree buffer of [`RcmPool::run_warm`] (a reused
+    /// pool performs no steady-state install allocation): the unreversed
+    /// CM permutation, the driver record, and the count of expansions that
+    /// ran through the parallel pipeline.
+    pub(crate) fn order_cm(
+        &mut self,
+        a: &CscMatrix,
+        direction: ExpandDirection,
+        start_node: &StartNode,
+    ) -> (Permutation, DriverStats, usize) {
+        assert_eq!(a.n_rows(), a.n_cols(), "RCM needs a square matrix");
+        self.run_warm(a, |exec, ws| {
+            let mut rt = PooledBackend::new(exec, ws);
+            let stats = drive_cm_with(&mut rt, LabelingMode::PerLevel, direction, start_node);
+            let (cm, parallel_levels) = rt.into_cm_permutation();
+            (cm, stats, parallel_levels)
+        })
+    }
+
     /// Order every matrix with the sequential Cuthill-McKee pipeline,
     /// scheduling **whole orderings one per worker** (claim granularity 1)
     /// — the small-matrix half of the engine's two-level batch parallelism.
@@ -558,7 +579,7 @@ impl RcmPool {
     /// matrix, in input order; every permutation is bit-identical to the
     /// level-parallel path (which is bit-identical to serial by the
     /// cross-backend invariant), regardless of which worker claimed it.
-    pub fn order_cm_batch(
+    pub(crate) fn order_cm_batch(
         &mut self,
         mats: &[&CscMatrix],
         direction: ExpandDirection,
@@ -570,7 +591,7 @@ impl RcmPool {
         if self.config.nthreads == 1 || mats.len() == 1 {
             return mats
                 .iter()
-                .map(|a| order_serial_cm(a, &mut self.batch_ws, direction, start_node))
+                .map(|a| self.batch_ws.order_cm(a, direction, &start_node))
                 .collect();
         }
         let job = BatchJob {
@@ -601,7 +622,7 @@ impl RcmPool {
             while let Some(range) = self.shared.queue.claim() {
                 for i in range {
                     let a = unsafe { &*job.mats[i] };
-                    let result = order_serial_cm(a, batch_ws, direction, start_node);
+                    let result = batch_ws.order_cm(a, direction, &start_node);
                     *job.outs[i].lock().unwrap() = Some(result);
                 }
             }
@@ -647,22 +668,6 @@ impl Drop for RcmPool {
             let _ = handle.join();
         }
     }
-}
-
-/// One whole sequential Cuthill-McKee ordering through a warm
-/// [`SerialWorkspace`] (the batch-job body, shared by coordinator and
-/// workers).
-fn order_serial_cm(
-    a: &CscMatrix,
-    ws: &mut SerialWorkspace,
-    direction: ExpandDirection,
-    start_node: StartNode,
-) -> (Permutation, DriverStats) {
-    let mut rt = SerialBackend::warm(a, std::mem::take(ws));
-    let stats = drive_cm_with(&mut rt, LabelingMode::PerLevel, direction, &start_node);
-    let (perm, warm) = rt.finish();
-    *ws = warm;
-    (perm, stats)
 }
 
 /// Per-level front end the driver sees: owns the visited/frontier state and
@@ -922,7 +927,7 @@ fn run_batch_share(
         while let Some(range) = shared.queue.claim() {
             for i in range {
                 let a = unsafe { &*job.mats[i] };
-                let result = order_serial_cm(a, ws, job.direction, job.start_node);
+                let result = ws.order_cm(a, job.direction, &job.start_node);
                 *job.outs[i].lock().unwrap() = Some(result);
             }
         }
@@ -1476,6 +1481,127 @@ mod tests {
         match std::env::var("RCM_THREADS") {
             Ok(_) => assert!(!thread_counts_from_env(&[1, 4]).is_empty()),
             Err(_) => assert_eq!(thread_counts_from_env(&[1, 4]), vec![1, 4]),
+        }
+    }
+
+    /// RCM on the level-parallel pipeline: George–Liu start nodes, the
+    /// environment's direction policy. Returns the parallel-level count
+    /// with the permutation and driver record.
+    fn pooled_rcm(a: &CscMatrix, pool: &mut RcmPool) -> (Permutation, DriverStats, usize) {
+        let (cm, stats, parallel_levels) =
+            pool.order_cm(a, ExpandDirection::from_env(), &StartNode::GeorgeLiu);
+        (cm.reversed(), stats, parallel_levels)
+    }
+
+    #[test]
+    fn matches_serial_for_any_thread_count() {
+        let a = scrambled_grid(13, 23);
+        let expect = crate::rcm(&a);
+        for t in thread_counts_from_env(&[1, 2, 3, 4, 8]) {
+            let (got, _, _) = pooled_rcm(&a, &mut RcmPool::new(PoolConfig::new(t)));
+            assert_eq!(got, expect, "{t} threads diverged");
+        }
+    }
+
+    /// Caterpillar: `hubs` path-connected hub vertices, each with `leaves`
+    /// pendant vertices. Every interior BFS level holds `leaves + 1`
+    /// vertices, safely above [`DEFAULT_SEQ_CUTOFF`].
+    fn wide_level_graph(hubs: usize, leaves: usize) -> CscMatrix {
+        let n = hubs * (leaves + 1);
+        let mut b = CooBuilder::new(n, n);
+        for h in 0..hubs {
+            let hub = (h * (leaves + 1)) as Vidx;
+            if h + 1 < hubs {
+                b.push_sym(hub, hub + (leaves + 1) as Vidx);
+            }
+            for l in 1..=leaves {
+                b.push_sym(hub, hub + l as Vidx);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn matches_serial_above_the_cutover() {
+        let a = wide_level_graph(10, 300);
+        let expect = crate::rcm(&a);
+        for t in thread_counts_from_env(&[2, 5, 8]) {
+            let (got, _, parallel_levels) = pooled_rcm(&a, &mut RcmPool::new(PoolConfig::new(t)));
+            assert_eq!(got, expect, "{t} threads diverged");
+            if t > 1 {
+                assert!(
+                    parallel_levels > 0,
+                    "{t} threads never took the parallel path"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cutover_threshold_is_configurable() {
+        // With seq_cutoff = 1 even tiny frontiers go parallel; the answer
+        // must not change.
+        let a = scrambled_grid(9, 7);
+        let mut pool = RcmPool::new(PoolConfig {
+            nthreads: 3,
+            seq_cutoff: 1,
+            chunk: 2,
+        });
+        let (got, stats, parallel_levels) = pooled_rcm(&a, &mut pool);
+        assert_eq!(got, crate::rcm(&a));
+        // Every ordering expansion goes parallel: one per level plus each
+        // component's final empty expansion.
+        assert_eq!(parallel_levels, stats.levels + stats.components);
+    }
+
+    #[test]
+    fn large_frontier_takes_threaded_path() {
+        // A star graph has one giant level — forces the parallel branch.
+        let n = 2000;
+        let mut b = CooBuilder::new(n, n);
+        for v in 1..n {
+            b.push_sym(0, v as Vidx);
+        }
+        let a = b.build();
+        let (p, stats, parallel_levels) = pooled_rcm(&a, &mut RcmPool::new(PoolConfig::new(4)));
+        assert_eq!(p.len(), n);
+        assert_eq!(stats.components, 1);
+        assert!(parallel_levels > 0, "star level must run in parallel");
+        assert_eq!(p, crate::rcm(&a));
+    }
+
+    #[test]
+    fn components_counted() {
+        let mut b = CooBuilder::new(6, 6);
+        b.push_sym(0, 1);
+        b.push_sym(2, 3);
+        let a = b.build();
+        let (p, stats, _) = pooled_rcm(&a, &mut RcmPool::new(PoolConfig::new(2)));
+        assert_eq!(p.len(), 6);
+        assert_eq!(stats.components, 4);
+    }
+
+    #[test]
+    fn duplicate_candidates_keep_min_parent() {
+        // Diamond: 0-1, 0-2, 1-3, 2-3. From root 0, vertex 3 is reachable
+        // from both 1 and 2; it must attach to the smaller label.
+        let mut b = CooBuilder::new(4, 4);
+        b.push_sym(0, 1);
+        b.push_sym(0, 2);
+        b.push_sym(1, 3);
+        b.push_sym(2, 3);
+        let a = b.build();
+        let (p, _, _) = pooled_rcm(&a, &mut RcmPool::new(PoolConfig::new(2)));
+        assert_eq!(p, crate::rcm(&a));
+    }
+
+    #[test]
+    fn pool_reuse_across_matrices_is_clean() {
+        let mut pool = RcmPool::new(PoolConfig::new(4));
+        for (w, stride) in [(20usize, 13usize), (31, 17), (12, 7)] {
+            let a = scrambled_grid(w, stride);
+            let (got, _, _) = pooled_rcm(&a, &mut pool);
+            assert_eq!(got, crate::rcm(&a), "{w}x{w} grid diverged");
         }
     }
 }

@@ -212,7 +212,7 @@ mod tests {
             Permutation::from_new_of_old((0..40).map(|i| ((i * stride) % 40) as Vidx).collect())
                 .unwrap();
         let scrambled = a.permute_sym(&scramble);
-        let (rcm, _) = crate::serial::rcm(&scrambled);
+        let rcm = crate::rcm(&scrambled);
         let q = quality_report(&scrambled, &rcm);
         assert!(q.bandwidth_after < q.bandwidth_before);
         assert!(q.profile_after < q.profile_before);

@@ -31,27 +31,35 @@ pub struct SerialRcmStats {
 /// Cuthill-McKee ordering of a symmetric pattern matrix.
 ///
 /// Returns the permutation mapping old vertex ids to new labels, plus run
-/// statistics. Reverse it (`.reversed()`) for RCM.
+/// statistics. Reverse it (`.reversed()`) for RCM, or call [`crate::rcm`].
 pub fn cuthill_mckee(a: &CscMatrix) -> (Permutation, SerialRcmStats) {
     assert_eq!(
         a.n_rows(),
         a.n_cols(),
         "CM needs a square (symmetric) matrix"
     );
+    cuthill_mckee_with_degrees(a, &a.degrees())
+}
+
+/// The classical loop itself under caller-supplied degrees. Supervariable
+/// compression runs it on the quotient graph with expanded degrees
+/// ([`crate::compress::rcm_compressed`]).
+pub(crate) fn cuthill_mckee_with_degrees(
+    a: &CscMatrix,
+    degrees: &[Vidx],
+) -> (Permutation, SerialRcmStats) {
     let n = a.n_rows();
-    let degrees = a.degrees();
     let mut label_of = vec![Vidx::MAX; n];
     let mut order: Vec<Vidx> = Vec::with_capacity(n);
     let mut stats = SerialRcmStats::default();
     // Scratch reused across components.
     let mut children: Vec<Vidx> = Vec::new();
 
-    let mut next_component_scan = 0usize;
     while order.len() < n {
         // Seed: unnumbered vertex of minimum degree (deterministic).
         let mut seed = None;
         let mut best = (Vidx::MAX, Vidx::MAX);
-        for v in next_component_scan..n {
+        for v in 0..n {
             if label_of[v] == Vidx::MAX {
                 let key = (degrees[v], v as Vidx);
                 if key < best {
@@ -60,11 +68,8 @@ pub fn cuthill_mckee(a: &CscMatrix) -> (Permutation, SerialRcmStats) {
                 }
             }
         }
-        // All labeled vertices are before the first unlabeled one only in
-        // pathological orders; keep the scan start conservative.
-        next_component_scan = 0;
         let seed = seed.expect("unlabeled vertex must exist");
-        let pp = pseudo_peripheral_with_degrees(a, seed, &degrees);
+        let pp = pseudo_peripheral_with_degrees(a, seed, degrees);
         stats.components += 1;
         stats.peripheral_bfs += pp.bfs_count;
 
@@ -104,64 +109,15 @@ pub fn cuthill_mckee(a: &CscMatrix) -> (Permutation, SerialRcmStats) {
     )
 }
 
-/// Reverse Cuthill-McKee ordering: [`cuthill_mckee`] with labels reversed.
-pub fn rcm(a: &CscMatrix) -> (Permutation, SerialRcmStats) {
-    let (cm, stats) = cuthill_mckee(a);
-    (cm.reversed(), stats)
-}
-
-/// RCM rooted at a caller-supplied vertex (skips the pseudo-peripheral
-/// search for the first component — useful for differential testing).
-pub fn rcm_from_root(a: &CscMatrix, root: Vidx) -> Permutation {
-    assert_eq!(a.n_rows(), a.n_cols());
-    let n = a.n_rows();
-    let degrees = a.degrees();
-    let mut label_of = vec![Vidx::MAX; n];
-    let mut order: Vec<Vidx> = Vec::with_capacity(n);
-    let mut children: Vec<Vidx> = Vec::new();
-    let mut root = Some(root);
-    while order.len() < n {
-        let start = match root.take() {
-            Some(r) => r,
-            None => {
-                let mut best = (Vidx::MAX, Vidx::MAX);
-                for v in 0..n {
-                    if label_of[v] == Vidx::MAX {
-                        best = best.min((degrees[v], v as Vidx));
-                    }
-                }
-                pseudo_peripheral_with_degrees(a, best.1, &degrees).vertex
-            }
-        };
-        label_of[start as usize] = order.len() as Vidx;
-        order.push(start);
-        let mut head = order.len() - 1;
-        while head < order.len() {
-            let v = order[head];
-            head += 1;
-            children.clear();
-            for &w in a.col(v as usize) {
-                if label_of[w as usize] == Vidx::MAX {
-                    label_of[w as usize] = Vidx::MAX - 1;
-                    children.push(w);
-                }
-            }
-            children.sort_unstable_by_key(|&w| (degrees[w as usize], w));
-            for &w in &children {
-                label_of[w as usize] = order.len() as Vidx;
-                order.push(w);
-            }
-        }
-    }
-    Permutation::from_order(&order)
-        .expect("CM visits each vertex exactly once")
-        .reversed()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rcm_sparse::{envelope_size, matrix_bandwidth, CooBuilder};
+
+    fn rcm_with_stats(a: &CscMatrix) -> (Permutation, SerialRcmStats) {
+        let (cm, stats) = cuthill_mckee(a);
+        (cm.reversed(), stats)
+    }
 
     fn path(n: usize) -> CscMatrix {
         let mut b = CooBuilder::new(n, n);
@@ -184,7 +140,7 @@ mod tests {
     fn rcm_restores_path_bandwidth() {
         let a = shuffled_path(50);
         assert!(matrix_bandwidth(&a) > 1);
-        let (p, stats) = rcm(&a);
+        let (p, stats) = rcm_with_stats(&a);
         let pa = a.permute_sym(&p);
         assert_eq!(matrix_bandwidth(&pa), 1);
         assert_eq!(stats.components, 1);
@@ -193,7 +149,7 @@ mod tests {
     #[test]
     fn rcm_is_valid_permutation() {
         let a = shuffled_path(23);
-        let (p, _) = rcm(&a);
+        let p = crate::rcm(&a);
         assert_eq!(p.len(), 23);
         // Permutation type guarantees bijectivity; double-check round trip.
         assert_eq!(p.then(&p.inverse()), Permutation::identity(23));
@@ -203,8 +159,7 @@ mod tests {
     fn rcm_is_reverse_of_cm() {
         let a = shuffled_path(31);
         let (cm, _) = cuthill_mckee(&a);
-        let (rcm_p, _) = rcm(&a);
-        assert_eq!(cm.reversed(), rcm_p);
+        assert_eq!(cm.reversed(), crate::rcm(&a));
     }
 
     #[test]
@@ -218,7 +173,7 @@ mod tests {
         b.push_sym(4, 5);
         b.push_sym(3, 5);
         let a = b.build();
-        let (p, stats) = rcm(&a);
+        let (p, stats) = rcm_with_stats(&a);
         assert_eq!(p.len(), 9);
         assert_eq!(stats.components, 5);
         let pa = a.permute_sym(&p);
@@ -229,10 +184,9 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let a = CscMatrix::empty(0);
-        let (p, _) = rcm(&a);
-        assert_eq!(p.len(), 0);
+        assert_eq!(crate::rcm(&a).len(), 0);
         let a1 = CscMatrix::empty(1);
-        let (p1, s1) = rcm(&a1);
+        let (p1, s1) = rcm_with_stats(&a1);
         assert_eq!(p1.len(), 1);
         assert_eq!(s1.components, 1);
     }
@@ -241,17 +195,9 @@ mod tests {
     fn rcm_never_increases_path_profile() {
         let a = shuffled_path(40);
         let before = envelope_size(&a);
-        let (p, _) = rcm(&a);
+        let p = crate::rcm(&a);
         let after = envelope_size(&a.permute_sym(&p));
         assert!(after <= before, "profile {before} -> {after}");
-    }
-
-    #[test]
-    fn rcm_from_root_respects_root() {
-        let a = path(6);
-        let p = rcm_from_root(&a, 0);
-        // Rooted at 0, CM numbers 0..5 in order; RCM reverses.
-        assert_eq!(p.as_new_of_old(), &[5, 4, 3, 2, 1, 0]);
     }
 
     #[test]
@@ -278,7 +224,7 @@ mod tests {
             .collect();
         let shuffled = a.permute_sym(&Permutation::from_new_of_old(perm).unwrap());
         let bw_shuffled = matrix_bandwidth(&shuffled);
-        let (p, _) = rcm(&shuffled);
+        let p = crate::rcm(&shuffled);
         let bw_rcm = matrix_bandwidth(&shuffled.permute_sym(&p));
         assert!(bw_rcm <= 2 * w, "RCM bandwidth {bw_rcm} vs grid width {w}");
         assert!(

@@ -682,11 +682,6 @@ impl OrderingService {
         OrderingService { inner, workers }
     }
 
-    /// Convenience constructor with the default service configuration.
-    pub fn with_engine(engine: EngineConfig) -> Self {
-        OrderingService::start(ServiceConfig::new(engine))
-    }
-
     /// The service configuration.
     pub fn config(&self) -> &ServiceConfig {
         &self.inner.config
@@ -912,8 +907,8 @@ fn store_and_finish(inner: &ServiceInner, shard: usize, job: &Job, report: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{rcm_with_backend, BackendKind};
-    use crate::testutil::scrambled_grid;
+    use crate::driver::BackendKind;
+    use crate::testutil::{scrambled_grid, single_shot};
     use rcm_sparse::CooBuilder;
 
     fn path(n: usize) -> CscMatrix {
@@ -938,7 +933,7 @@ mod tests {
         let a = scrambled_grid(10, 7);
         let handle = service.submit(OrderingRequest::new(a.clone()));
         let report = handle.wait();
-        assert_eq!(report.perm, rcm_with_backend(&a, BackendKind::Serial));
+        assert_eq!(report.perm, single_shot(&a, BackendKind::Serial));
         assert_eq!(report.cache, Some(CacheOutcome::Miss));
         // After wait, try_poll and latency must agree it's done.
         assert_eq!(handle.try_poll().expect("done").perm, report.perm);
@@ -987,7 +982,7 @@ mod tests {
         let a = scrambled_grid(8, 3);
         let report = service.submit(OrderingRequest::new(a.clone())).wait();
         assert_eq!(report.cache, None);
-        assert_eq!(report.perm, rcm_with_backend(&a, BackendKind::Serial));
+        assert_eq!(report.perm, single_shot(&a, BackendKind::Serial));
         assert_eq!(service.stats().cache_entries, 0);
     }
 
@@ -1006,7 +1001,7 @@ mod tests {
             .map(|a| service.submit(OrderingRequest::new(a.clone())))
             .collect();
         for (a, h) in mats.iter().zip(&handles) {
-            assert_eq!(h.wait().perm, rcm_with_backend(a, BackendKind::Serial));
+            assert_eq!(h.wait().perm, single_shot(a, BackendKind::Serial));
         }
         // Scheduling-dependent, but with 24 queued small jobs and one
         // shard at least one group of ≥ 2 must have formed.
@@ -1028,7 +1023,7 @@ mod tests {
         drop(service);
         for (a, h) in mats.iter().zip(&handles) {
             let report = h.try_poll().expect("drop must drain pending jobs");
-            assert_eq!(report.perm, rcm_with_backend(a, BackendKind::Serial));
+            assert_eq!(report.perm, single_shot(a, BackendKind::Serial));
         }
     }
 
@@ -1250,7 +1245,7 @@ mod tests {
             .wait();
         assert_eq!(
             report.perm,
-            rcm_with_backend(&a, BackendKind::Pooled { threads: 2 })
+            single_shot(&a, BackendKind::Pooled { threads: 2 })
         );
         assert_eq!(report.stats.components, 2);
         // Cached resubmission of a split-ordered pattern stays identical.

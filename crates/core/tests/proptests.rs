@@ -3,10 +3,24 @@
 
 use proptest::prelude::*;
 use rcm_core::{
-    algebraic_rcm, bfs_level_structure, ordering_bandwidth, ordering_profile, par_cuthill_mckee,
-    par_rcm, pseudo_peripheral, rcm, rcm_globalsort, rcm_nosort, sloan, thread_counts_from_env,
+    bfs_level_structure, ordering_bandwidth, ordering_profile, pseudo_peripheral, rcm,
+    rcm_globalsort, rcm_nosort, sloan, thread_counts_from_env, BackendKind, EngineConfig,
+    OrderingEngine, StartNode,
 };
 use rcm_sparse::{envelope_size, matrix_bandwidth, CooBuilder, CscMatrix, Permutation, Vidx};
+
+/// RCM from a fresh engine on `backend` with George–Liu start nodes.
+fn engine_rcm(a: &CscMatrix, backend: BackendKind) -> Permutation {
+    let config = EngineConfig::builder()
+        .backend(backend)
+        .start_node(StartNode::GeorgeLiu)
+        .build();
+    OrderingEngine::new(config).order(a).perm
+}
+
+fn pooled_rcm(a: &CscMatrix, threads: usize) -> Permutation {
+    engine_rcm(a, BackendKind::Pooled { threads })
+}
 
 fn build_matrix(n: usize, edges: &[(usize, usize)]) -> CscMatrix {
     let mut b = CooBuilder::new(n, n);
@@ -90,8 +104,8 @@ proptest! {
         let a = build_matrix(n, &edges);
         for (name, p) in [
             ("rcm", rcm(&a)),
-            ("algebraic", algebraic_rcm(&a).0),
-            ("shared", par_rcm(&a, 2).0),
+            ("algebraic", engine_rcm(&a, BackendKind::Serial)),
+            ("shared", pooled_rcm(&a, 2)),
             ("sloan", sloan(&a)),
             ("nosort", rcm_nosort(&a)),
             ("globalsort", rcm_globalsort(&a)),
@@ -118,10 +132,9 @@ proptest! {
         let expect = rcm(&a);
         let (expect_cm, _) = rcm_core::cuthill_mckee(&a);
         for t in thread_counts_from_env(&[1, 3, 8]) {
-            let (got, _) = par_rcm(&a, t);
-            prop_assert_eq!(&got, &expect, "par_rcm diverged at {} threads", t);
-            let (got_cm, _) = par_cuthill_mckee(&a, t);
-            prop_assert_eq!(&got_cm, &expect_cm, "par_cuthill_mckee diverged at {} threads", t);
+            let got = pooled_rcm(&a, t);
+            prop_assert_eq!(&got, &expect, "pooled RCM diverged at {} threads", t);
+            prop_assert_eq!(&got.reversed(), &expect_cm, "pooled CM diverged at {} threads", t);
         }
     }
 
@@ -218,8 +231,7 @@ mod par_rcm_degenerate_graphs {
     fn assert_matches_serial(a: &CscMatrix, what: &str) {
         let expect = rcm(a);
         for t in thread_counts_from_env(&[1, 3, 8]) {
-            let (got, _) = par_rcm(a, t);
-            assert_eq!(got, expect, "{what}: diverged at {t} threads");
+            assert_eq!(pooled_rcm(a, t), expect, "{what}: diverged at {t} threads");
         }
     }
 

@@ -28,12 +28,12 @@
 //!
 //! This crate supplies *primitives only*: the BFS, pseudo-peripheral and
 //! labeling drivers that compose them live once in `rcm-core`'s generic
-//! driver (`rcm_core::driver::drive_cm`), which runs on this runtime
+//! driver (`rcm_core::driver::drive_cm_with`), which runs on this runtime
 //! through its `DistBackend`/`HybridBackend`.
 //!
 //! Determinism contract: all primitives produce exactly the values their
 //! sequential specifications produce, for every grid size — `rcm-core`'s
-//! `dist_rcm` relies on this to match `algebraic_rcm` bit for bit whenever
+//! `dist_rcm` relies on this to match the serial `rcm` bit for bit whenever
 //! no balance permutation is applied.
 //!
 //! ```

@@ -1,7 +1,7 @@
 //! The paper's Table-I primitives over distributed containers.
 //!
 //! Each primitive computes the *exact* sequential result (the simulation is
-//! data-deterministic: `dist_rcm` must reproduce `algebraic_rcm` bit for
+//! data-deterministic: `dist_rcm` must reproduce the serial `rcm` bit for
 //! bit) while charging the [`SimClock`] the α–β cost the operation would
 //! incur on a real 2D-decomposed run:
 //!

@@ -379,11 +379,19 @@ fn main() {
                 text.push_str(&perm.new_of(v as u32).to_string());
                 text.push('\n');
             }
-            std::fs::write(path, text).expect("write permutation");
+            // An unwritable output path is a usage error like an unreadable
+            // input: exit 2 naming the path, never a panic.
+            std::fs::write(path, text).unwrap_or_else(|e| {
+                eprintln!("cannot write permutation to {path}: {e}");
+                std::process::exit(2);
+            });
             println!("wrote permutation to {path}");
         }
         if let Some(path) = &opts.write_matrix {
-            mm::write_pattern_file(&a.permute_sym(perm), path).expect("write reordered matrix");
+            mm::write_pattern_file(&a.permute_sym(perm), path).unwrap_or_else(|e| {
+                eprintln!("cannot write reordered matrix to {path}: {e}");
+                std::process::exit(2);
+            });
             println!("wrote reordered matrix to {path}");
         }
 

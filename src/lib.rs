@@ -10,9 +10,9 @@
 //! * [`dist`] — the simulated distributed runtime: 2D process grid, α–β
 //!   machine model, collectives, distributed Table-I primitives.
 //! * [`core`] — RCM itself: the generic Table-I driver
-//!   (`core::driver::RcmRuntime` + `core::driver::drive_cm`) with serial,
-//!   pooled, distributed and hybrid backends, plus the classical
-//!   George–Liu implementation.
+//!   (`core::driver::RcmRuntime` + `core::driver::drive_cm_with`) with
+//!   serial, pooled, distributed and hybrid backends behind the warm
+//!   `OrderingEngine`, plus the classical George–Liu implementation.
 //! * [`solver`] — CG + block-Jacobi/IC(0) and the Fig. 1 time model.
 //!
 //! ## Quickstart
@@ -39,17 +39,18 @@ pub use rcm_graphgen as graphgen;
 pub use rcm_solver as solver;
 pub use rcm_sparse as sparse;
 
-/// One-stop imports for applications: the per-call entry points, the warm
-/// engine tier, and the service tier (submit/poll front door, pattern
-/// cache). Lower-level items (level structures, quality breakdowns, the
-/// simulated runtime's internals) stay behind their modules.
+/// One-stop imports for applications: the per-call entry points (`rcm`,
+/// `dist_rcm`, `sloan`), the warm engine tier, and the service tier
+/// (submit/poll front door, pattern cache). Lower-level items (level
+/// structures, quality breakdowns, the simulated runtime's internals) stay
+/// behind their modules.
 pub mod prelude {
     pub use rcm_core::{
-        algebraic_rcm, dist_rcm, ordering_bandwidth, par_rcm, quality_report, rcm,
-        rcm_with_backend, sloan, BackendKind, CacheConfig, CacheOutcome, CacheStats, DistRcmConfig,
-        DistRcmResult, EngineConfig, EngineConfigBuilder, ExpandDirection, JobHandle,
-        OrderingEngine, OrderingReport, OrderingRequest, OrderingService, PeripheralStat,
-        RcmRuntime, ServiceConfig, ServiceStats, SortMode, StartNode,
+        dist_rcm, ordering_bandwidth, quality_report, rcm, sloan, BackendKind, CacheConfig,
+        CacheOutcome, CacheStats, DistRcmConfig, DistRcmResult, EngineConfig, EngineConfigBuilder,
+        ExpandDirection, JobHandle, OrderingEngine, OrderingReport, OrderingRequest,
+        OrderingService, PeripheralStat, RcmRuntime, ServiceConfig, ServiceStats, SortMode,
+        StartNode,
     };
     pub use rcm_dist::{HybridConfig, MachineModel};
     pub use rcm_graphgen::{suite, suite_matrix, SuiteMatrix};

@@ -445,6 +445,33 @@ fn missing_mtx_file_exits_2_naming_the_file() {
     assert!(stderr.contains("/nonexistent/input.mtx"), "{stderr}");
 }
 
+/// Run `rcm-order` on a small suite matrix with `flag` pointing into a
+/// directory that does not exist: exit 2 naming the path, no panic.
+fn assert_unwritable_output_exits_2(flag: &str) {
+    let path = std::env::temp_dir()
+        .join("rcm-order-test-missing-dir")
+        .join("out.txt");
+    let path = path.to_str().unwrap();
+    let out = rcm_order()
+        .args(["suite:nd24k", "--scale", "0.005", flag, path])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+    assert!(stderr.contains(path), "{flag}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+}
+
+#[test]
+fn unwritable_write_perm_path_exits_2_naming_it() {
+    assert_unwritable_output_exits_2("--write-perm");
+}
+
+#[test]
+fn unwritable_write_matrix_path_exits_2_naming_it() {
+    assert_unwritable_output_exits_2("--write-matrix");
+}
+
 #[test]
 fn malformed_mtx_file_exits_2_naming_the_file() {
     let dir = std::env::temp_dir().join("rcm-order-test-badmm");

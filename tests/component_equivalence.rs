@@ -1,16 +1,14 @@
 //! Component-parallel equivalence — the bit-identity contract of
 //! `EngineConfig::split_components`: a splitting engine must return
-//! permutations bit-identical to fresh sequential `rcm_with_backend`
-//! orderings on every backend, at every `RCM_THREADS` count (CI sweeps
+//! permutations bit-identical to fresh sequential single-engine orderings
+//! on every backend, at every `RCM_THREADS` count (CI sweeps
 //! 1/2/8), across degenerate component structures — empty, all-isolated,
 //! a single giant component, a forest of small trees, a star+path mix —
 //! and on random (frequently disconnected) proptest matrices. Plus the
 //! steady-state check: resplitting matrices the warm splitter has already
 //! seen allocates nothing.
 
-use distributed_rcm::core::{
-    rcm_with_backend, thread_counts_from_env, BackendKind, EngineConfig, OrderingEngine,
-};
+use distributed_rcm::core::{thread_counts_from_env, BackendKind, EngineConfig, OrderingEngine};
 use distributed_rcm::graphgen::{forest, multi_body};
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::Vidx;
@@ -90,7 +88,9 @@ fn split_engines_match_fresh_sequential_orderings_on_degenerate_inputs() {
                     .build(),
             );
             for (name, a) in degenerate_inputs() {
-                let expect = rcm_with_backend(&a, BackendKind::Serial);
+                let expect = OrderingEngine::with_backend(BackendKind::Serial)
+                    .order(&a)
+                    .perm;
                 let got = engine.order(&a).perm;
                 assert_eq!(
                     got, expect,

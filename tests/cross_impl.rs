@@ -1,17 +1,22 @@
 //! Cross-backend integration tests: the four `RcmRuntime` backends run the
-//! *same* generic driver (`rcm_core::driver::drive_cm`) and must therefore
+//! *same* generic driver (`rcm_core::driver::drive_cm_with`) and must therefore
 //! agree bit for bit wherever determinism is guaranteed — on every suite
 //! class and on every degenerate shape — and in quality where internal
 //! relabeling is allowed.
 
 use distributed_rcm::core::{
-    algebraic_rcm, dist_rcm, par_rcm, rcm_with_backend, thread_counts_from_env, BackendKind,
-    DistRcmConfig, SortMode,
+    dist_rcm, drive_cm_with, rcm_globalsort, thread_counts_from_env, BackendKind, DistRcmConfig,
+    LabelingMode, SerialBackend, SortMode,
 };
 use distributed_rcm::dist::{HybridConfig, MachineModel};
 use distributed_rcm::graphgen::suite;
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::Vidx;
+
+/// The RCM permutation of `a` from a fresh single-use engine.
+fn single_shot(a: &CscMatrix, kind: BackendKind) -> Permutation {
+    OrderingEngine::with_backend(kind).order(a).perm
+}
 
 /// Tiny but structurally faithful instances of every suite class.
 fn tiny_suite() -> Vec<(String, CscMatrix)> {
@@ -65,7 +70,9 @@ fn degenerates() -> Vec<(String, CscMatrix)> {
 /// The suite-level acceptance check of the `RcmRuntime` refactor: serial ==
 /// pooled == dist == hybrid, bit for bit, on every suite graph and every
 /// degenerate. The pooled sweep honors `RCM_THREADS` so CI exercises it at
-/// several thread counts.
+/// several thread counts. The same inputs also pin the driver's
+/// [`LabelingMode::GlobalAtEnd`] to its independent sequential
+/// implementation, `rcm_globalsort`.
 #[test]
 fn all_four_backends_agree_bitwise_on_suite_and_degenerates() {
     let mut graphs = tiny_suite();
@@ -75,27 +82,27 @@ fn all_four_backends_agree_bitwise_on_suite_and_degenerates() {
         // algebraic formulation provably matches.
         let expect = rcm(&a);
         assert_eq!(
-            rcm_with_backend(&a, BackendKind::Serial),
+            single_shot(&a, BackendKind::Serial),
             expect,
             "{name}: serial backend vs classical"
         );
         for threads in thread_counts_from_env(&[1, 3]) {
             assert_eq!(
-                rcm_with_backend(&a, BackendKind::Pooled { threads }),
+                single_shot(&a, BackendKind::Pooled { threads }),
                 expect,
                 "{name}: pooled backend diverged at {threads} threads"
             );
         }
         for cores in [1usize, 4, 9] {
             assert_eq!(
-                rcm_with_backend(&a, BackendKind::Dist { cores }),
+                single_shot(&a, BackendKind::Dist { cores }),
                 expect,
                 "{name}: dist backend diverged on {cores} ranks"
             );
         }
         for (cores, threads_per_proc) in [(24usize, 6usize), (54, 6)] {
             assert_eq!(
-                rcm_with_backend(
+                single_shot(
                     &a,
                     BackendKind::Hybrid {
                         cores,
@@ -104,6 +111,36 @@ fn all_four_backends_agree_bitwise_on_suite_and_degenerates() {
                 ),
                 expect,
                 "{name}: hybrid backend diverged at {cores} cores x {threads_per_proc} threads"
+            );
+        }
+
+        let globalsort = rcm_globalsort(&a);
+        let mut rt = SerialBackend::new(&a);
+        drive_cm_with(
+            &mut rt,
+            LabelingMode::GlobalAtEnd,
+            ExpandDirection::from_env(),
+            &StartNode::GeorgeLiu,
+        );
+        assert_eq!(
+            rt.into_cm_permutation().reversed(),
+            globalsort,
+            "{name}: serial global-at-end labeling vs rcm_globalsort"
+        );
+        for config in [
+            DistRcmConfig::flat_on_edison(4),
+            DistRcmConfig::hybrid_on_edison(24),
+        ] {
+            let config = DistRcmConfig {
+                sort_mode: SortMode::GlobalSortAtEnd,
+                start_node: StartNode::GeorgeLiu,
+                ..config
+            };
+            assert_eq!(
+                dist_rcm(&a, &config).perm,
+                globalsort,
+                "{name}: global sort at end on {} cores vs rcm_globalsort",
+                config.hybrid.cores
             );
         }
     }
@@ -116,13 +153,13 @@ fn shared_backend_is_thread_count_independent_on_suite_classes() {
     // frontiers take the work-stealing parallel path.
     let m = distributed_rcm::graphgen::suite_matrix("ldoor").unwrap();
     let a = m.generate(m.default_scale * 0.5);
-    let (expect, _) = algebraic_rcm(&a);
+    let expect = single_shot(&a, BackendKind::Serial);
     for threads in [1usize, 2, 4, 8, 16] {
-        let (got, stats) = par_rcm(&a, threads);
-        assert_eq!(got, expect, "ldoor diverged at {threads} threads");
+        let report = OrderingEngine::with_backend(BackendKind::Pooled { threads }).order(&a);
+        assert_eq!(report.perm, expect, "ldoor diverged at {threads} threads");
         if threads > 1 {
             assert!(
-                stats.parallel_levels > 0,
+                report.parallel_levels > 0,
                 "{threads} threads never exercised the parallel pipeline"
             );
         }

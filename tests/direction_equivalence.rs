@@ -5,8 +5,7 @@
 //! representation.
 
 use distributed_rcm::core::{
-    algebraic_rcm_directed, dist_rcm, par_rcm_directed, rcm_with_backend_directed,
-    thread_counts_from_env, BackendKind, DistRcmConfig, ExpandDirection,
+    dist_rcm, thread_counts_from_env, BackendKind, DistRcmConfig, ExpandDirection,
 };
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::Vidx;
@@ -35,11 +34,21 @@ fn random_graph(n: usize, avg_deg: usize, seed: u64) -> CscMatrix {
     b.build()
 }
 
+/// Order `a` on a fresh engine under an explicit backend and direction
+/// policy.
+fn order_directed(a: &CscMatrix, kind: BackendKind, direction: ExpandDirection) -> OrderingReport {
+    let config = EngineConfig::builder()
+        .backend(kind)
+        .direction(direction)
+        .build();
+    OrderingEngine::new(config).order(a)
+}
+
 /// Assert every `(policy, backend)` combination reproduces the serial push
 /// ordering on `a`. The pooled sweep honors `RCM_THREADS` so CI exercises
 /// it at several thread counts.
 fn assert_all_directions_agree(name: &str, a: &CscMatrix) {
-    let expect = rcm_with_backend_directed(a, BackendKind::Serial, ExpandDirection::Push);
+    let expect = order_directed(a, BackendKind::Serial, ExpandDirection::Push).perm;
     for policy in POLICIES {
         let mut kinds = vec![BackendKind::Serial];
         kinds.extend(
@@ -54,7 +63,7 @@ fn assert_all_directions_agree(name: &str, a: &CscMatrix) {
         });
         for kind in kinds {
             assert_eq!(
-                rcm_with_backend_directed(a, kind, policy),
+                order_directed(a, kind, policy).perm,
                 expect,
                 "{name}: {} backend diverged under {} policy",
                 kind.name(),
@@ -76,10 +85,10 @@ proptest! {
         n in 2usize..100, deg in 1usize..8, seed in 0u64..500
     ) {
         let a = random_graph(n, deg, seed);
-        let serial_push =
-            rcm_with_backend_directed(&a, BackendKind::Serial, ExpandDirection::Push);
+        let serial_push = order_directed(&a, BackendKind::Serial, ExpandDirection::Push).perm;
         for policy in POLICIES {
-            let (serial, sstats) = algebraic_rcm_directed(&a, policy);
+            let report = order_directed(&a, BackendKind::Serial, policy);
+            let (serial, sstats) = (report.perm, report.stats);
             prop_assert_eq!(&serial, &serial_push, "serial {} diverged", policy.name());
             if policy == ExpandDirection::Alternating && sstats.push_expands > 0 {
                 // The whole point of the policy: both directions ran.
@@ -90,7 +99,7 @@ proptest! {
                 );
             }
             for threads in thread_counts_from_env(&[2]) {
-                let (pooled, _) = par_rcm_directed(&a, threads, policy);
+                let pooled = order_directed(&a, BackendKind::Pooled { threads }, policy).perm;
                 prop_assert_eq!(
                     &pooled, &serial_push,
                     "pooled({}) {} diverged", threads, policy.name()
@@ -112,10 +121,10 @@ proptest! {
     #[test]
     fn forced_modes_use_their_kernel(n in 4usize..60, deg in 1usize..6, seed in 0u64..200) {
         let a = random_graph(n, deg, seed);
-        let (_, push_stats) = algebraic_rcm_directed(&a, ExpandDirection::Push);
+        let push_stats = order_directed(&a, BackendKind::Serial, ExpandDirection::Push).stats;
         prop_assert_eq!(push_stats.pull_expands, 0);
         prop_assert!(push_stats.push_expands > 0);
-        let (_, pull_stats) = algebraic_rcm_directed(&a, ExpandDirection::Pull);
+        let pull_stats = order_directed(&a, BackendKind::Serial, ExpandDirection::Pull).stats;
         prop_assert_eq!(pull_stats.push_expands, 0);
         prop_assert!(pull_stats.pull_expands > 0);
     }
@@ -195,10 +204,11 @@ fn parallel_pull_pipeline_is_bit_identical_above_the_cutover() {
         }
     }
     let a = b.build();
-    let expect = rcm_with_backend_directed(&a, BackendKind::Serial, ExpandDirection::Push);
+    let expect = order_directed(&a, BackendKind::Serial, ExpandDirection::Push).perm;
     for threads in thread_counts_from_env(&[2, 5, 8]) {
         for policy in [ExpandDirection::Pull, ExpandDirection::Alternating] {
-            let (got, stats) = par_rcm_directed(&a, threads, policy);
+            let report = order_directed(&a, BackendKind::Pooled { threads }, policy);
+            let (got, stats) = (report.perm, report.stats);
             assert_eq!(
                 got,
                 expect,

@@ -1,10 +1,20 @@
 //! Edge-case and failure-injection integration tests across the workspace:
 //! the degenerate inputs a downstream user will eventually feed every API.
 
-use distributed_rcm::core::{algebraic_rcm, dist_rcm, par_rcm, DistRcmConfig, SortMode};
+use distributed_rcm::core::{dist_rcm, DistRcmConfig, SortMode};
 use distributed_rcm::dist::{HybridConfig, MachineModel};
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::{connected_components, mm, spy};
+
+/// RCM from a fresh engine on `backend` with George–Liu start nodes
+/// (`Serial` is the matrix-algebraic formulation on one core).
+fn engine_rcm(a: &CscMatrix, backend: BackendKind) -> Permutation {
+    let config = EngineConfig::builder()
+        .backend(backend)
+        .start_node(StartNode::GeorgeLiu)
+        .build();
+    OrderingEngine::new(config).order(a).perm
+}
 
 fn dist_cfg(procs: usize) -> DistRcmConfig {
     DistRcmConfig {
@@ -21,8 +31,8 @@ fn dist_cfg(procs: usize) -> DistRcmConfig {
 fn empty_matrix_all_pipelines() {
     let a = CscMatrix::empty(0);
     assert_eq!(rcm(&a).len(), 0);
-    assert_eq!(algebraic_rcm(&a).0.len(), 0);
-    assert_eq!(par_rcm(&a, 4).0.len(), 0);
+    assert_eq!(engine_rcm(&a, BackendKind::Serial).len(), 0);
+    assert_eq!(engine_rcm(&a, BackendKind::Pooled { threads: 4 }).len(), 0);
     let r = dist_rcm(&a, &dist_cfg(1));
     assert_eq!(r.perm.len(), 0);
     assert_eq!(r.components, 0);
@@ -31,7 +41,12 @@ fn empty_matrix_all_pipelines() {
 #[test]
 fn single_vertex_all_pipelines() {
     let a = CscMatrix::empty(1);
-    for p in [rcm(&a), algebraic_rcm(&a).0, par_rcm(&a, 2).0, sloan(&a)] {
+    for p in [
+        rcm(&a),
+        engine_rcm(&a, BackendKind::Serial),
+        engine_rcm(&a, BackendKind::Pooled { threads: 2 }),
+        sloan(&a),
+    ] {
         assert_eq!(p.len(), 1);
         assert_eq!(p.new_of(0), 0);
     }
@@ -43,7 +58,7 @@ fn single_vertex_all_pipelines() {
 #[test]
 fn all_isolated_vertices() {
     let a = CscMatrix::empty(9);
-    let (expect, _) = algebraic_rcm(&a);
+    let expect = engine_rcm(&a, BackendKind::Serial);
     for procs in [1usize, 4, 9] {
         let r = dist_rcm(&a, &dist_cfg(procs));
         assert_eq!(r.perm, expect, "{procs} ranks");
@@ -100,8 +115,7 @@ fn self_loops_are_tolerated() {
     assert_eq!(a.nnz(), 16);
     let perm = rcm(&a);
     assert_eq!(ordering_bandwidth(&a, &perm), 1);
-    let (alg, _) = algebraic_rcm(&a);
-    assert_eq!(perm, alg);
+    assert_eq!(perm, engine_rcm(&a, BackendKind::Serial));
 }
 
 #[test]
@@ -125,7 +139,7 @@ fn more_ranks_than_vertices() {
         b.push_sym(v, v + 1);
     }
     let a = b.build();
-    let (expect, _) = algebraic_rcm(&a);
+    let expect = engine_rcm(&a, BackendKind::Serial);
     let r = dist_rcm(&a, &dist_cfg(16));
     assert_eq!(r.perm, expect);
     let r25 = dist_rcm(&a, &dist_cfg(25));

@@ -1,20 +1,23 @@
 //! Warm-engine reuse equivalence — the workspace-poisoning check of the
 //! `OrderingEngine` layer: one engine reused across a hostile sequence of
 //! matrices (huge → degenerate → star/path/forest → huge) must return
-//! permutations bit-identical to fresh single-shot `rcm_with_backend`
-//! calls on every backend, at every `RCM_THREADS` count and under every
+//! permutations bit-identical to fresh single-use engines on every
+//! backend, at every `RCM_THREADS` count and under every
 //! `RCM_DIRECTION` policy (CI sweeps both). Plus the growth-event test:
 //! a warm engine's install-managed buffers stop growing once it has seen
 //! its largest matrix.
 
-use distributed_rcm::core::{
-    rcm_with_backend, thread_counts_from_env, BackendKind, EngineConfig, OrderingEngine,
-};
+use distributed_rcm::core::{thread_counts_from_env, BackendKind, EngineConfig, OrderingEngine};
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::Vidx;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The RCM permutation of `a` from a fresh single-use engine.
+fn single_shot(a: &CscMatrix, kind: BackendKind) -> Permutation {
+    OrderingEngine::with_backend(kind).order(a).perm
+}
 
 fn grid_graph(w: usize, stride: usize) -> CscMatrix {
     let mut b = CooBuilder::new(w * w, w * w);
@@ -107,7 +110,7 @@ fn warm_engine_survives_the_hostile_sequence_on_every_backend() {
         let mut engine = OrderingEngine::new(EngineConfig::builder().backend(kind).build());
         for (name, a) in &sequence {
             let report = engine.order(a);
-            let fresh = rcm_with_backend(a, kind);
+            let fresh = single_shot(a, kind);
             assert_eq!(
                 report.perm,
                 fresh,
@@ -135,34 +138,11 @@ fn warm_engine_batch_matches_single_shot_on_the_hostile_sequence() {
             for (i, (a, report)) in mats.iter().zip(&reports).enumerate() {
                 assert_eq!(
                     report.perm,
-                    rcm_with_backend(a, kind),
+                    single_shot(a, kind),
                     "batch slot {i} diverged at {threads} threads (round {round})"
                 );
             }
         }
-    }
-}
-
-/// The deprecated constructors must keep building configurations identical
-/// to their builder replacements — downstream code migrating at its own
-/// pace sees no behavior change.
-#[test]
-#[allow(deprecated)]
-fn deprecated_constructors_match_the_builder() {
-    let a = grid_graph(9, 4);
-    for kind in backend_kinds() {
-        let legacy = EngineConfig::new(kind);
-        let built = EngineConfig::builder().backend(kind).build();
-        assert_eq!(legacy.backend, built.backend);
-        assert_eq!(legacy.direction, built.direction);
-        assert_eq!(legacy.compress, built.compress);
-        assert!(legacy.cache.is_none());
-        let directed = EngineConfig::directed(kind, ExpandDirection::Push);
-        assert_eq!(directed.direction, ExpandDirection::Push);
-        assert_eq!(
-            OrderingEngine::new(legacy).order(&a).perm,
-            OrderingEngine::new(built).order(&a).perm
-        );
     }
 }
 
@@ -240,7 +220,7 @@ proptest! {
             let mut engine = OrderingEngine::new(EngineConfig::builder().backend(kind).build());
             for (i, a) in sequence.iter().enumerate() {
                 let warm = engine.order(a).perm;
-                let fresh = rcm_with_backend(a, kind);
+                let fresh = single_shot(a, kind);
                 prop_assert_eq!(
                     &warm, &fresh,
                     "{} engine diverged at step {} (n={}, deg={}, seed={})",

@@ -1,7 +1,8 @@
 //! Workspace-level property tests: random graphs through the full pipeline.
 
 use distributed_rcm::core::{
-    algebraic_rcm, dist_rcm, par_rcm, pseudo_peripheral, DistRcmConfig, SortMode,
+    dist_rcm, drive_cm_with, pseudo_peripheral, rcm_globalsort, DistRcmConfig, LabelingMode,
+    SerialBackend, SortMode,
 };
 use distributed_rcm::dist::{HybridConfig, MachineModel};
 use distributed_rcm::prelude::*;
@@ -23,6 +24,15 @@ fn random_graph(n: usize, avg_deg: usize, seed: u64) -> CscMatrix {
     b.build()
 }
 
+/// RCM from a fresh engine on `backend` with George–Liu start nodes.
+fn engine_rcm(a: &CscMatrix, backend: BackendKind) -> Permutation {
+    let config = EngineConfig::builder()
+        .backend(backend)
+        .start_node(StartNode::GeorgeLiu)
+        .build();
+    OrderingEngine::new(config).order(a).perm
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -30,8 +40,8 @@ proptest! {
     fn all_implementations_agree(n in 2usize..120, deg in 1usize..8, seed in 0u64..500) {
         let a = random_graph(n, deg, seed);
         let serial = rcm(&a);
-        let (algebraic, _) = algebraic_rcm(&a);
-        let (shared, _) = par_rcm(&a, 2);
+        let algebraic = engine_rcm(&a, BackendKind::Serial);
+        let shared = engine_rcm(&a, BackendKind::Pooled { threads: 2 });
         prop_assert_eq!(&serial, &algebraic);
         prop_assert_eq!(&serial, &shared);
         let cfg = DistRcmConfig {
@@ -52,6 +62,45 @@ proptest! {
         };
         let hybrid = dist_rcm(&a, &hybrid_cfg);
         prop_assert_eq!(&serial, &hybrid.perm);
+    }
+
+    #[test]
+    fn global_at_end_labeling_matches_rcm_globalsort(
+        n in 1usize..150, deg in 0usize..5, seed in 0u64..1000
+    ) {
+        // The driver's LabelingMode::GlobalAtEnd (serial backend) and the
+        // distributed GlobalSortAtEnd mode (flat and hybrid grids of 1, 4
+        // and 9 ranks) against the independent sequential implementation.
+        // These sparse graphs often have several components and isolated
+        // vertices.
+        let a = random_graph(n, deg, seed);
+        let expect = rcm_globalsort(&a);
+        for direction in [ExpandDirection::Push, ExpandDirection::Pull] {
+            let mut rt = SerialBackend::new(&a);
+            drive_cm_with(&mut rt, LabelingMode::GlobalAtEnd, direction, &StartNode::GeorgeLiu);
+            let serial = rt.into_cm_permutation().reversed();
+            prop_assert_eq!(&serial, &expect, "serial driver, {}", direction.name());
+            for ranks in [1usize, 4, 9] {
+                for threads_per_proc in [1usize, 6] {
+                    let cfg = DistRcmConfig {
+                        machine: MachineModel::edison(),
+                        hybrid: HybridConfig::new(ranks * threads_per_proc, threads_per_proc),
+                        balance_seed: None,
+                        sort_mode: SortMode::GlobalSortAtEnd,
+                        direction,
+                        start_node: StartNode::GeorgeLiu,
+                    };
+                    prop_assert_eq!(
+                        &dist_rcm(&a, &cfg).perm,
+                        &expect,
+                        "{} ranks x {} threads, {}",
+                        ranks,
+                        threads_per_proc,
+                        direction.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

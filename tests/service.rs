@@ -1,17 +1,22 @@
 //! Service-tier equivalence: the `OrderingService` front door (queue,
 //! shards, pattern cache) must never change *what* is computed — every
-//! report's permutation is bit-identical to a fresh single-shot
-//! `rcm_with_backend` call, whether it came from a shard engine, a batch
+//! report's permutation is bit-identical to a fresh single-use engine's,
+//! whether it came from a shard engine, a batch
 //! group, or the pattern cache, on all four backends, at every
 //! `RCM_THREADS` count (CI sweeps 1/2/8), and under concurrent submission
 //! from many threads.
 
-use distributed_rcm::core::{rcm_with_backend, thread_counts_from_env, PatternCache};
+use distributed_rcm::core::{thread_counts_from_env, PatternCache};
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::Vidx;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The RCM permutation of `a` from a fresh single-use engine.
+fn single_shot(a: &CscMatrix, kind: BackendKind) -> Permutation {
+    OrderingEngine::with_backend(kind).order(a).perm
+}
 
 /// Random symmetric graph from a seed: n vertices, ~avg_deg·n/2 edges.
 fn random_graph(n: usize, avg_deg: usize, seed: u64) -> CscMatrix {
@@ -78,7 +83,7 @@ fn concurrent_submits_are_deterministic_across_thread_counts() {
         .collect();
     let fresh: Vec<Permutation> = mats
         .iter()
-        .map(|a| rcm_with_backend(a, BackendKind::Serial))
+        .map(|a| single_shot(a, BackendKind::Serial))
         .collect();
     for threads in thread_counts_from_env(&[1, 2, 8]) {
         let config = ServiceConfig::new(
@@ -152,7 +157,7 @@ fn cached_permutation_is_bit_identical_on_every_backend() {
             "{}: equal pattern must hit",
             kind.name()
         );
-        let fresh = rcm_with_backend(&a, kind);
+        let fresh = single_shot(&a, kind);
         assert_eq!(first.perm, fresh, "{}: miss path diverged", kind.name());
         assert_eq!(second.perm, fresh, "{}: cached path diverged", kind.name());
         assert_eq!(second.bandwidth_after, first.bandwidth_after);
@@ -209,7 +214,7 @@ proptest! {
             let miss = service.submit(OrderingRequest::new(a.clone())).wait();
             let hit = service.submit(OrderingRequest::new(twin.clone())).wait();
             prop_assert_eq!(hit.cache, Some(CacheOutcome::Hit));
-            let fresh = rcm_with_backend(&a, kind);
+            let fresh = single_shot(&a, kind);
             prop_assert_eq!(
                 &miss.perm, &fresh,
                 "{} miss diverged (n={}, deg={}, seed={})", kind.name(), n, deg, seed
