@@ -1,15 +1,16 @@
 //! [`PooledBackend`]: the Table-I primitives on the work-stealing pool of
 //! [`crate::pool`].
 //!
-//! The pool's three-phase level pipeline (dynamic expansion → epoch-stamped
-//! `fetch_min` dedup → parallel per-parent bucket sort) *is* the semiring
-//! SpMSpV fused with `SELECT` and the sort half of `SORTPERM`:
-//! [`RcmRuntime::spmspv`] runs one [`LevelExecutor::expand`], whose output
-//! is already restricted to unvisited vertices (the pool's unvisited
-//! bitmap mirrors both dense companions) with minimum parent labels,
-//! sorted by `(parent, degree, vertex)`. The trait's `SELECT` then re-filters (a
-//! no-op pass that keeps the contract honest) and `SORTPERM` assigns
-//! consecutive labels over the already-bucketed tuples.
+//! The pool's level expansion (dynamic chunk claims → epoch-tagged
+//! `fetch_min` claims → in-place filter of superseded candidates) *is* the
+//! semiring SpMSpV fused with `SELECT`: [`RcmRuntime::spmspv`] runs one
+//! [`LevelExecutor::expand`], whose output is already restricted to
+//! unvisited vertices (the pool's unvisited bitmap mirrors both dense
+//! companions) with minimum parent labels, in no particular order. The
+//! trait's `SELECT` then re-filters (a no-op pass that keeps the contract
+//! honest) and `SORTPERM` — a counting sort keyed on the parent label,
+//! then `(degree, vertex)`, like the serial backend's — is the one sort of
+//! a level.
 //!
 //! Lifecycle: construction is the *install* phase — the dense companions
 //! live in the pool-owned [`PooledWorkspace`] (warm across orderings and
@@ -120,11 +121,24 @@ impl<'x, 's> PooledBackend<'x, 's> {
         });
         base
     }
+
+    /// The expansion just written to the candidate buffer, as a frontier;
+    /// counts it when the parallel pipeline ran an ordering level.
+    fn expanded(&mut self, parallel: bool) -> Vec<(Vidx, Label)> {
+        if parallel && self.phase == Phase::OrderingSpmspv {
+            self.parallel_levels += 1;
+        }
+        self.ws
+            .cands
+            .iter()
+            .map(|&(v, p)| (v, p as Label))
+            .collect()
+    }
 }
 
 impl RcmRuntime for PooledBackend<'_, '_> {
-    /// `(vertex, value)` pairs; entry order is backend-private (the pool
-    /// keeps its `(parent, degree, vertex)` bucket order).
+    /// `(vertex, value)` pairs; entry order is backend-private (whatever
+    /// order the pool's expansion produced).
     type Frontier = Vec<(Vidx, Label)>;
 
     fn n(&self) -> usize {
@@ -156,31 +170,17 @@ impl RcmRuntime for PooledBackend<'_, '_> {
     fn spmspv(&mut self, x: &Self::Frontier) -> Self::Frontier {
         let base = self.load_frontier(x);
         let parallel = self.exec.expand(base, &mut self.ws.cands);
-        if parallel && self.phase == Phase::OrderingSpmspv {
-            self.parallel_levels += 1;
-        }
-        self.ws
-            .cands
-            .iter()
-            .map(|&(v, p, _)| (v, p as Label))
-            .collect()
+        self.expanded(parallel)
     }
 
     fn expand_pull(&mut self, x: &Self::Frontier, _which: DenseTarget) -> Self::Frontier {
         // The pool's unvisited bitmap mirrors both dense companions for the
         // vertices the current component can reach, so it *is* the pull
-        // mask — the bottom-up pipeline already returns only unvisited
+        // mask — the bottom-up expansion already returns only unvisited
         // vertices, exactly what `SELECT` would keep.
         let base = self.load_frontier(x);
         let parallel = self.exec.expand_pull(base, &mut self.ws.cands);
-        if parallel && self.phase == Phase::OrderingSpmspv {
-            self.parallel_levels += 1;
-        }
-        self.ws
-            .cands
-            .iter()
-            .map(|&(v, p, _)| (v, p as Label))
-            .collect()
+        self.expanded(parallel)
     }
 
     fn frontier_nnz(&mut self, x: &Self::Frontier) -> usize {
@@ -188,8 +188,8 @@ impl RcmRuntime for PooledBackend<'_, '_> {
     }
 
     fn pull_profitable(&self) -> bool {
-        // Pull's shared-memory payoff is skipping the per-edge atomic
-        // `fetch_min` dedup, which only exists when workers actually run
+        // Pull's shared-memory payoff is skipping the push kernel's
+        // `fetch_min` claims, which only contend when workers actually run
         // concurrently.
         self.exec.nthreads() > 1
     }
@@ -273,10 +273,10 @@ impl RcmRuntime for PooledBackend<'_, '_> {
         batch: (Label, Label),
         nv: Label,
     ) -> (Self::Frontier, usize) {
-        // The pool already delivers (parent, degree, vertex) bucket order,
-        // so this pass is a (cheap) verification sort for the general case
-        // — a two-pass counting sort keyed on the batch's label range, like
-        // the serial backend's.
+        // The pooled backend's only sort: the expansion's candidate set
+        // comes in no particular order, and a two-pass counting sort keyed
+        // on the batch's label range, then (degree, vertex), orders it —
+        // the serial backend's SORTPERM.
         let degrees = self.exec.degrees();
         let sorted = counting_sortperm(x, batch, degrees, &mut self.ws.sort_scratch);
         let count = sorted.len();

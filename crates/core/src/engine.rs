@@ -26,7 +26,7 @@
 //!
 //! Batch calls add a second level of parallelism on the pooled backend:
 //! matrices too small to ever cross the pool's sequential cutover
-//! ([`crate::pool::PoolConfig::seq_cutoff`]) are ordered **whole, one per
+//! ([`crate::pool::DEFAULT_SEQ_CUTOFF`]) are ordered **whole, one per
 //! worker** (the pool's batch job), while large matrices take the usual
 //! level-parallel path. Either way every permutation is bit-identical to a
 //! fresh engine's [`OrderingEngine::order`] on the same backend; the
@@ -458,7 +458,7 @@ impl OrderingEngine {
     ///
     /// On a multithreaded pooled backend the schedule is two-level:
     /// matrices below the pool's sequential cutover
-    /// ([`crate::pool::PoolConfig::seq_cutoff`]) are ordered whole, one per
+    /// ([`crate::pool::DEFAULT_SEQ_CUTOFF`]) are ordered whole, one per
     /// worker, on the same pool (they could never engage the level-parallel
     /// pipeline), while larger ones run level-parallel as usual. Other
     /// backends order sequentially through the warm workspaces.
@@ -1006,6 +1006,46 @@ mod tests {
             // A connected matrix takes the ordinary path under the flag.
             let connected = scrambled_grid(6, 7);
             assert_eq!(engine.order(&connected).perm, single_shot(&connected, kind));
+        }
+    }
+
+    #[test]
+    fn split_orders_wide_pooled_components_whole_per_worker() {
+        // Three stars of 300 leaves: each leaf frontier is wider than the
+        // pool's cutover, so the sequential driver expands it on the
+        // workers (one parallel level per star), while the split path
+        // orders every star whole, one per worker, with no parallel level
+        // — and the same permutation.
+        let (stars, leaves) = (3usize, 300usize);
+        let n = stars * (leaves + 1);
+        let mut b = CooBuilder::new(n, n);
+        for s in 0..stars {
+            let hub = (s * (leaves + 1)) as Vidx;
+            for l in 1..=leaves as Vidx {
+                b.push_sym(hub, hub + l);
+            }
+        }
+        let a = b.build();
+        for threads in [2, 4] {
+            let kind = BackendKind::Pooled { threads };
+            let sequential = OrderingEngine::with_backend(kind).order(&a);
+            let mut engine = OrderingEngine::new(
+                EngineConfig::builder()
+                    .backend(kind)
+                    .split_components(true)
+                    .build(),
+            );
+            let split = engine.order(&a);
+            assert_eq!(split.perm, sequential.perm, "pooled@{threads}");
+            assert_eq!(split.stats.components, 3);
+            assert_eq!(
+                split.parallel_levels, 0,
+                "pooled@{threads}: the split path must order the stars whole"
+            );
+            assert!(
+                sequential.parallel_levels > 0,
+                "pooled@{threads}: the sequential driver must expand the leaf levels in parallel"
+            );
         }
     }
 

@@ -2,61 +2,55 @@
 //! RCM of [`crate::backends::PooledBackend`] — the SpMP-style baseline of
 //! Table II.
 //!
-//! The original backend split each frontier statically into `nthreads`
-//! contiguous chunks and spawned fresh OS threads *per level*, so one heavy
-//! chunk (a few high-degree vertices) held the whole level hostage and the
-//! spawn overhead swamped thin levels — scaling plateaued past ~4 threads.
-//! This module replaces it with a pool of **persistent workers** (spawned
-//! once per [`RcmPool`], parked on a condvar gate between jobs, joined on
-//! drop — they survive across orderings and across matrices) and a dynamic
-//! three-phase pipeline per parallel level:
+//! A pool of **persistent workers** (spawned once per [`RcmPool`], parked
+//! on a condvar gate between jobs, joined on drop — they survive across
+//! orderings and across matrices; no per-level spawn) runs each parallel
+//! level as a dynamic two-step pipeline, so no heavy chunk of high-degree
+//! vertices can hold a level hostage:
 //!
 //! 1. **Expansion** — workers claim fixed-size frontier chunks from a
 //!    [`ChunkQueue`] (one atomic claim counter; a thread that finishes its
-//!    chunk immediately steals the next one), emit
-//!    `(vertex, parent label, degree)` candidates into their own reusable
-//!    arena buffer, and `fetch_min` the epoch-tagged parent label into a
-//!    shared per-vertex claim array.
-//! 2. **Merge/dedup** — after a barrier, each worker filters its own
-//!    candidates: `(w, p)` survives iff the claim array still holds `p`
-//!    for `w`. Because `min` is commutative and every `(w, p)` pair is
-//!    emitted exactly once, the surviving set is the minimum-parent set of
-//!    the `(select2nd, min)` semiring regardless of interleaving — a
-//!    merge/dedup with no comparison sort and no serial bottleneck.
-//!    Survivors are routed to the worker owning their *parent* range,
-//!    mirroring the AllToAll of the paper's distributed bucket `SORTPERM`
-//!    (§IV-B).
-//! 3. **Bucket sort** — parent labels of a frontier are contiguous (they
-//!    were assigned consecutively last level), so each worker places its
-//!    received tuples into per-parent buckets by streaming (linear work, no
-//!    comparison sort across buckets) and sorts each bucket by
-//!    `(degree, vertex)`. Concatenating the workers' segments in parent
-//!    order yields the `(parent label, degree, vertex)` ordering.
+//!    chunk immediately steals the next one). Each unvisited neighbour's
+//!    slot in a shared per-vertex claim array is offered the epoch-tagged
+//!    parent label — a plain load first, `fetch_min` only when the offer
+//!    is smaller — and the `(vertex, parent label)` candidate goes into
+//!    the worker's own reusable buffer only when the offer lowered the
+//!    claim.
+//! 2. **Filter** — after one barrier, each worker drops in place the
+//!    candidates a smaller parent superseded later: `(w, p)` survives iff
+//!    the claim array still holds `p` for `w`. Because `min` is commutative
+//!    and every `(w, p)` pair is offered exactly once, the survivors are
+//!    the minimum-parent set of the `(select2nd, min)` semiring under any
+//!    interleaving. The coordinator concatenates the workers' buffers.
 //!
-//! Every phase is deterministic: the claim array converges to the same
-//! minima under any interleaving, and within a parent bucket the
-//! `(degree, vertex)` key is unique, so the result is bit-identical to the
+//! The result is a set in no particular order: the backend's SORTPERM (a
+//! counting sort keyed on the parent label, then `(degree, vertex)`) is
+//! the one sort of a level, so the labels are bit-identical to the
 //! sequential algorithm for *any* thread count, chunk size, or claim
-//! interleaving. All scratch buffers are owned by the [`RcmPool`] and
-//! reused across levels, components, orderings, and matrices — the claim
-//! array's level epochs are **monotone for the pool's lifetime**, so a new
-//! ordering needs no `O(n)` invalidation pass, and
-//! [`RcmPool::growth_events`] exposes when the install-managed buffers last
-//! had to grow (a pool that has seen an `n`-vertex matrix installs any
-//! smaller one without allocating).
+//! interleaving.
+//!
+//! The coordinator runs the very same kernels on its own thread for levels
+//! below the cutover ([`DEFAULT_SEQ_CUTOFF`]) and for every level of a
+//! 1-thread pool, over the whole frontier at once. There the frontier
+//! positions ascend with the parent label, so a vertex's first claim is
+//! already its minimum and no filter pass is needed.
+//!
+//! All scratch buffers are owned by the [`RcmPool`] and reused across
+//! levels, components, orderings, and matrices. Every push level takes a
+//! fresh claim tag from a claim epoch that is **monotone for the pool's
+//! lifetime**, so a new level or ordering needs no `O(n)` invalidation
+//! pass, and [`RcmPool::growth_events`] exposes when the install-managed
+//! buffers last had to grow (a pool that has seen an `n`-vertex matrix
+//! installs any smaller one without allocating).
 //!
 //! **Pull levels.** The direction-optimizing driver can run a level
 //! bottom-up instead: the coordinator scatters the frontier into a dense
 //! per-vertex parent-label array (`Vidx::MAX` = not in frontier), and the
-//! expansion phase claims chunks of the *vertex range* `0..n` — each worker
-//! walks the *unvisited bitmap* ([`VertexBitmap`]) over its chunk, so a
-//! fully visited 64-vertex word costs one compare, and scans each surviving
-//! row's adjacency for the minimum frontier label. Because every row is
-//! computed by exactly one worker, pull needs **no atomic dedup at all**
-//! (the `fetch_min` claim array sits idle); the merge phase routes
-//! candidates to their parent-range owners unchanged and the bucket sort is
-//! shared verbatim, so a pull level yields the byte-identical
-//! `(parent, degree, vertex)` stream a push level would.
+//! expansion claims chunks of the *vertex range* `0..n` — each chunk walks
+//! the *unvisited bitmap* ([`VertexBitmap`]), so a fully visited 64-vertex
+//! word costs one compare, and scans each surviving row's adjacency for
+//! the minimum frontier label. Because every row is computed by exactly
+//! one thread, pull needs **no claim and no filter** (and no barrier).
 //!
 //! **Batch jobs.** Besides level expansions, the gate can post a *batch*
 //! job (`RcmPool::order_cm_batch`): workers claim whole matrices
@@ -68,9 +62,9 @@
 //! one per worker, while large ones take the level-parallel path above.
 //!
 //! Synchronization per parallel level: one condvar broadcast to release the
-//! workers, two [`Barrier`] waits between phases, one condvar signal back
-//! to the coordinator. Levels below [`PoolConfig::seq_cutoff`] never touch
-//! the workers.
+//! workers, one [`Barrier`] wait (push levels only), one condvar signal
+//! back to the coordinator. Levels below the cutover never touch the
+//! workers.
 
 use crate::backends::{PooledBackend, SerialWorkspace};
 use crate::driver::{drive_cm_with, DriverStats, ExpandDirection, LabelingMode, StartNode};
@@ -82,10 +76,9 @@ use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, RwLock};
 /// Frontier size below which a level is expanded on the calling thread.
 ///
 /// Releasing and re-parking the worker pool costs a few microseconds per
-/// level; below this many frontier vertices the sequential path wins. This
-/// is the cutover the old backend hard-coded at 256 inside `expand_level`;
-/// it is now a field of [`PoolConfig`] (`seq_cutoff`) so benchmarks can
-/// sweep it.
+/// level; below this many frontier vertices (or, for a pull level, this
+/// many vertices in the matrix) the calling thread wins. The engine also
+/// orders matrices smaller than this whole, one per worker.
 pub const DEFAULT_SEQ_CUTOFF: usize = 256;
 
 /// Default work-stealing claim granularity (frontier vertices per chunk).
@@ -97,13 +90,13 @@ pub const DEFAULT_CHUNK: usize = 64;
 /// Configuration of the shared-memory execution backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Worker threads (also the fan-out of the merge and bucket phases).
+    /// Worker threads.
     pub nthreads: usize,
-    /// Frontiers smaller than this are expanded sequentially
+    /// Frontiers smaller than this are expanded on the calling thread
     /// ([`DEFAULT_SEQ_CUTOFF`]).
-    pub seq_cutoff: usize,
+    pub(crate) seq_cutoff: usize,
     /// Frontier vertices per work-stealing claim ([`DEFAULT_CHUNK`]).
-    pub chunk: usize,
+    pub(crate) chunk: usize,
 }
 
 impl PoolConfig {
@@ -173,41 +166,46 @@ impl ChunkQueue {
     }
 }
 
-/// Candidate emitted during frontier expansion:
-/// `(vertex, parent label, degree)` — lexicographic order groups duplicates
-/// of a vertex with the minimum parent label first.
-pub(crate) type Candidate = (Vidx, Vidx, Vidx);
+/// Candidate emitted during frontier expansion: `(vertex, parent label)`.
+pub(crate) type Candidate = (Vidx, Vidx);
 
-/// Claim-array tag of a level: high 32 bits hold the *complement* of the
-/// level epoch, so newer levels always `fetch_min` below stale entries and
-/// the array needs no clearing between levels — or between orderings, since
-/// the epoch counter is monotone for the pool's lifetime; the low 32 bits
-/// hold the parent label, so within a level the minimum parent wins.
+/// Claim-array tag of a claim epoch: high 32 bits hold the *complement* of
+/// the epoch, so newer levels always `fetch_min` below stale entries and
+/// the array needs no clearing between levels — or between orderings,
+/// since the claim epoch is monotone for the pool's lifetime; the low 32
+/// bits hold the parent label, so within a level the minimum parent wins.
 fn claim_tag(epoch: u64) -> u64 {
     debug_assert!(epoch > 0 && epoch <= u32::MAX as u64, "epoch out of range");
     ((!(epoch as u32)) as u64) << 32
+}
+
+/// One frontier expansion, as the kernels see it.
+#[derive(Clone, Copy)]
+enum Level {
+    /// Top-down: frontier position `off` has parent label
+    /// `base_label + off`, and claims carry `tag` ([`claim_tag`]).
+    Push { base_label: Vidx, tag: u64 },
+    /// Bottom-up: rows scan the dense frontier-label array.
+    Pull,
 }
 
 /// What the gate posted: one parallel frontier expansion, or a batch of
 /// whole sequential orderings.
 #[derive(Clone, Copy)]
 enum JobKind {
-    /// One level of the three-phase pipeline.
-    Level {
-        /// Label of `frontier[0]` for the posted level.
-        base_label: Vidx,
-        /// Run the bottom-up (pull) expansion phase.
-        pull: bool,
-    },
+    /// One level of the pipeline.
+    Level(Level),
     /// Whole sequential orderings, claimed one matrix at a time
     /// (`RcmPool::order_cm_batch`).
     Batch,
 }
 
+/// Payload of a caught panic, re-thrown on the coordinator.
+type Panic = Box<dyn std::any::Any + Send>;
+
 /// Coordinator→worker task descriptor plus the completion count.
 struct GateState {
-    /// Bumped once per posted job; workers run when it changes. Monotone
-    /// for the pool's lifetime (this is also the claim-array epoch).
+    /// Bumped once per posted job; workers run when it changes.
     epoch: u64,
     /// The posted job.
     job: JobKind,
@@ -217,7 +215,7 @@ struct GateState {
     done: usize,
     /// First worker panic of the job, re-thrown by the coordinator (a
     /// panicking worker must not leave its siblings stuck on the barrier).
-    panic: Option<Box<dyn std::any::Any + Send>>,
+    panic: Option<Panic>,
 }
 
 /// Condvar gate parking the workers between jobs.
@@ -242,8 +240,6 @@ struct Gate {
 /// workers are parked on the gate and touch nothing.
 struct JobData {
     a: *const CscMatrix,
-    degrees: *const Vidx,
-    degrees_len: usize,
     batch: *const BatchJob,
 }
 
@@ -261,21 +257,6 @@ struct BatchJob {
     outs: Vec<Mutex<Option<(Permutation, DriverStats)>>>,
 }
 
-/// One worker's outbox for the merge phase: surviving candidates for
-/// destination worker `k` occupy `buf[offs[k]..offs[k + 1]]`.
-///
-/// This used to be `Vec<Vec<Candidate>>` — one push-grown `Vec` per
-/// destination. The flat form is filled by a two-pass counting sort (count
-/// survivors per destination, prefix-sum, scatter), so the merge phase
-/// makes two linear passes over the candidate buffer and never grows more
-/// than one allocation, no matter how many workers it routes to.
-#[derive(Default)]
-struct RouteBox {
-    buf: Vec<Candidate>,
-    /// `nthreads + 1` segment offsets into `buf`.
-    offs: Vec<u32>,
-}
-
 /// Everything the persistent workers share with the coordinator.
 ///
 /// The `RwLock`s are phase-disciplined: writers and readers of the same
@@ -291,13 +272,13 @@ struct PoolShared {
     /// Dense frontier for pull levels: `pull_labels[v]` = parent label of
     /// frontier vertex `v`, `Vidx::MAX` otherwise.
     pull_labels: RwLock<Vec<Vidx>>,
+    /// Each worker's candidates of the current parallel level.
     cands: Vec<RwLock<Vec<Candidate>>>,
-    routes: Vec<RwLock<RouteBox>>,
-    sorted: Vec<RwLock<Vec<Candidate>>>,
     claims: Vec<AtomicUsize>,
     /// Per-vertex epoch-tagged minimum-parent claims (see [`claim_tag`];
     /// push levels only — pull computes each vertex exactly once). Grown
-    /// under the write lock while the workers are parked; never cleared.
+    /// under the write lock while the workers are parked; cleared only when
+    /// the claim epoch wraps.
     best: RwLock<Vec<AtomicU64>>,
     queue: ChunkQueue,
     barrier: Barrier,
@@ -315,20 +296,27 @@ impl PoolShared {
             .unwrap_or_else(|poison| poison.into_inner())
     }
 
-    /// Advance the gate epoch for a new job, recycling the 32-bit claim-tag
-    /// space before it can wrap: when the epoch reaches `u32::MAX` the
-    /// claim array is cleared once (an `O(n)` pass every 2³² jobs) and the
-    /// count restarts — so "stale claims never match or win" holds for the
-    /// pool's entire lifetime, not just its first 4 billion levels. Called
-    /// only while every worker is parked (the posting sites hold the gate).
-    fn bump_epoch(&self, st: &mut GateState) {
-        if st.epoch >= u32::MAX as u64 {
-            for b in self.best.write().unwrap().iter() {
-                b.store(u64::MAX, Ordering::Relaxed);
-            }
-            st.epoch = 0;
-        }
+    /// Release the parked workers onto `job`.
+    fn post(&self, job: JobKind) {
+        let mut st = self.lock_gate();
         st.epoch += 1;
+        st.job = job;
+        st.done = 0;
+        self.gate.start.notify_all();
+    }
+
+    /// Park until every worker has reported the posted job done, and take
+    /// the first worker panic, if any.
+    fn wait_done(&self) -> Option<Panic> {
+        let mut st = self.lock_gate();
+        while st.done < self.config.nthreads {
+            st = self
+                .gate
+                .finished
+                .wait(st)
+                .unwrap_or_else(|poison| poison.into_inner());
+        }
+        st.panic.take()
     }
 }
 
@@ -370,8 +358,9 @@ pub struct RcmPool {
     config: PoolConfig,
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    /// Sequential-path scratch (coordinator-local).
-    seq_cand: Vec<Candidate>,
+    /// Push levels expanded so far (modulo the 2³² recycling of
+    /// [`LevelExecutor::next_claim_tag`]) — the claim-array epoch.
+    claim_epoch: u64,
     /// The [`crate::backends::PooledBackend`] dense companions.
     backend_ws: PooledWorkspace,
     /// Warm degree buffer for [`RcmPool::run_warm`].
@@ -386,14 +375,6 @@ impl RcmPool {
     /// Pool with `config.nthreads` workers (spawned now, parked until the
     /// first job) and empty arenas.
     pub fn new(config: PoolConfig) -> Self {
-        Self::starting_at_epoch(config, 0)
-    }
-
-    /// [`RcmPool::new`] with the gate epoch starting at `epoch`. The
-    /// workers are spawned knowing it, so none of them mistakes the
-    /// starting epoch for a posted job (the wraparound tests start near
-    /// `u32::MAX` because they cannot post 2³² real jobs).
-    fn starting_at_epoch(config: PoolConfig, epoch: u64) -> Self {
         let nthreads = config.nthreads.max(1);
         let config = PoolConfig { nthreads, ..config };
         let shared = Arc::new(PoolShared {
@@ -402,21 +383,14 @@ impl RcmPool {
             frontier: RwLock::new(Vec::new()),
             pull_labels: RwLock::new(Vec::new()),
             cands: (0..nthreads).map(|_| RwLock::new(Vec::new())).collect(),
-            routes: (0..nthreads)
-                .map(|_| RwLock::new(RouteBox::default()))
-                .collect(),
-            sorted: (0..nthreads).map(|_| RwLock::new(Vec::new())).collect(),
             claims: (0..nthreads).map(|_| AtomicUsize::new(0)).collect(),
             best: RwLock::new(Vec::new()),
             queue: ChunkQueue::new(0, config.chunk),
             barrier: Barrier::new(nthreads),
             gate: Gate {
                 state: Mutex::new(GateState {
-                    epoch,
-                    job: JobKind::Level {
-                        base_label: 0,
-                        pull: false,
-                    },
+                    epoch: 0,
+                    job: JobKind::Batch,
                     shutdown: false,
                     done: 0,
                     panic: None,
@@ -426,8 +400,6 @@ impl RcmPool {
             },
             job: Mutex::new(JobData {
                 a: std::ptr::null(),
-                degrees: std::ptr::null(),
-                degrees_len: 0,
                 batch: std::ptr::null(),
             }),
         });
@@ -435,7 +407,7 @@ impl RcmPool {
             (0..nthreads)
                 .map(|tid| {
                     let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || worker_loop(&shared, tid, epoch))
+                    std::thread::spawn(move || worker_loop(&shared, tid))
                 })
                 .collect()
         } else {
@@ -445,7 +417,7 @@ impl RcmPool {
             config,
             shared,
             workers,
-            seq_cand: Vec::new(),
+            claim_epoch: 0,
             backend_ws: PooledWorkspace::default(),
             degrees: Vec::new(),
             batch_ws: SerialWorkspace::new(),
@@ -472,7 +444,7 @@ impl RcmPool {
     }
 
     /// Bind an `n`-vertex matrix to the shared arenas: grow-only resize,
-    /// prefix reset. The claim array is *not* cleared — level epochs are
+    /// prefix reset. The claim array is *not* cleared — claim epochs are
     /// monotone, so stale claims can never match or win again.
     fn install(&mut self, n: usize) {
         let mut grew = false;
@@ -509,27 +481,17 @@ impl RcmPool {
         driver: impl FnOnce(&mut LevelExecutor<'_>, &mut PooledWorkspace) -> R,
     ) -> R {
         self.install(a.n_rows());
-        {
-            let mut job = self.shared.job.lock().unwrap();
-            job.a = a;
-            job.degrees = degrees.as_ptr();
-            job.degrees_len = degrees.len();
-            job.batch = std::ptr::null();
-        }
+        self.shared.job.lock().unwrap().a = a;
         let result = {
             let mut exec = LevelExecutor {
                 shared: &self.shared,
-                seq_cand: &mut self.seq_cand,
+                claim_epoch: &mut self.claim_epoch,
                 a,
                 degrees,
             };
             driver(&mut exec, &mut self.backend_ws)
         };
-        let mut job = self.shared.job.lock().unwrap();
-        job.a = std::ptr::null();
-        job.degrees = std::ptr::null();
-        job.degrees_len = 0;
-        drop(job);
+        self.shared.job.lock().unwrap().a = std::ptr::null();
         result
     }
 
@@ -601,18 +563,8 @@ impl RcmPool {
             outs: mats.iter().map(|_| Mutex::new(None)).collect(),
         };
         self.shared.queue.reset_chunked(mats.len(), 1);
-        {
-            let mut slot = self.shared.job.lock().unwrap();
-            slot.a = std::ptr::null();
-            slot.batch = &job;
-        }
-        {
-            let mut st = self.shared.lock_gate();
-            self.shared.bump_epoch(&mut st);
-            st.job = JobKind::Batch;
-            st.done = 0;
-            self.shared.gate.start.notify_all();
-        }
+        self.shared.job.lock().unwrap().batch = &job;
+        self.shared.post(JobKind::Batch);
         // The coordinator steals whole orderings too — it would otherwise
         // idle for the entire batch. Its own panic must still wait for the
         // workers to drain before unwinding (they hold pointers into this
@@ -627,18 +579,7 @@ impl RcmPool {
                 }
             }
         }));
-        let workers_panic = {
-            let mut st = self.shared.lock_gate();
-            while st.done < self.config.nthreads {
-                st = self
-                    .shared
-                    .gate
-                    .finished
-                    .wait(st)
-                    .unwrap_or_else(|poison| poison.into_inner());
-            }
-            st.panic.take()
-        };
+        let workers_panic = self.shared.wait_done();
         self.shared.job.lock().unwrap().batch = std::ptr::null();
         if let Err(payload) = mine {
             std::panic::resume_unwind(payload);
@@ -671,10 +612,10 @@ impl Drop for RcmPool {
 }
 
 /// Per-level front end the driver sees: owns the visited/frontier state and
-/// dispatches each expansion to the sequential path or the worker pool.
+/// runs each expansion on the calling thread or on the worker pool.
 pub struct LevelExecutor<'s> {
     shared: &'s PoolShared,
-    seq_cand: &'s mut Vec<Candidate>,
+    claim_epoch: &'s mut u64,
     a: &'s CscMatrix,
     degrees: &'s [Vidx],
 }
@@ -718,29 +659,20 @@ impl LevelExecutor<'_> {
     /// Expand the current frontier (label of `frontier[0]` = `base_label`).
     ///
     /// On return `out` holds the deduplicated candidates (minimum parent
-    /// per vertex) sorted by `(parent label, degree, vertex)`, ready for
-    /// labeling. Returns `true` when the parallel pipeline ran.
+    /// per vertex), in no particular order. Returns `true` when the
+    /// parallel pipeline ran.
     pub(crate) fn expand(&mut self, base_label: Vidx, out: &mut Vec<Candidate>) -> bool {
-        out.clear();
-        let config = &self.shared.config;
+        let tag = self.next_claim_tag();
         let plen = self.shared.frontier.read().unwrap().len();
-        if config.nthreads == 1 || plen < config.seq_cutoff.max(1) {
-            self.expand_sequential(base_label, out);
-            return false;
-        }
-        self.run_parallel_level(plen, base_label, false, out);
-        true
+        self.run_level(plen, Level::Push { base_label, tag }, out)
     }
 
     /// Bottom-up (pull) expansion of the current frontier: scan every
     /// unvisited vertex's adjacency against the dense frontier-label array
-    /// instead of expanding the frontier's columns. Produces the identical
-    /// `(parent, degree, vertex)` candidate stream as [`Self::expand`].
-    /// Returns `true` when the parallel pipeline ran.
+    /// instead of expanding the frontier's columns. Produces the same
+    /// candidate set as [`Self::expand`]. Returns `true` when the parallel
+    /// pipeline ran.
     pub(crate) fn expand_pull(&mut self, base_label: Vidx, out: &mut Vec<Candidate>) -> bool {
-        out.clear();
-        let config = &self.shared.config;
-        let n = self.a.n_rows();
         // Scatter the frontier into the dense pull-label array (the dual
         // representation's sparse → dense conversion, O(frontier)).
         {
@@ -751,12 +683,7 @@ impl LevelExecutor<'_> {
             }
         }
         // The pull scan's length is the vertex range, not the frontier.
-        let parallel = !(config.nthreads == 1 || n < config.seq_cutoff.max(1));
-        if parallel {
-            self.run_parallel_level(n, base_label, true, out);
-        } else {
-            self.expand_pull_sequential(out);
-        }
+        let parallel = self.run_level(self.a.n_rows(), Level::Pull, out);
         // Clear the scatter for the next level (only the touched entries).
         {
             let frontier = self.shared.frontier.read().unwrap();
@@ -768,109 +695,135 @@ impl LevelExecutor<'_> {
         parallel
     }
 
-    /// Post one parallel level (`queue_len` claimable items) and collect
-    /// the workers' sorted segments into `out`.
-    fn run_parallel_level(
-        &mut self,
-        queue_len: usize,
-        base_label: Vidx,
-        pull: bool,
-        out: &mut Vec<Candidate>,
-    ) {
-        let config = &self.shared.config;
-        // Post the level and park until the last worker reports in.
-        self.shared.queue.reset_chunked(queue_len, config.chunk);
-        {
-            let mut st = self.shared.lock_gate();
-            self.shared.bump_epoch(&mut st);
-            st.job = JobKind::Level { base_label, pull };
-            st.done = 0;
-            self.shared.gate.start.notify_all();
-            while st.done < config.nthreads {
-                st = self
-                    .shared
-                    .gate
-                    .finished
-                    .wait(st)
-                    .unwrap_or_else(|poison| poison.into_inner());
+    /// The claim tag of a new push level. Recycles the 32-bit tag space
+    /// before it can wrap: when the claim epoch reaches `u32::MAX` the
+    /// claim array is cleared once (an `O(n)` pass every 2³² push levels)
+    /// and the count restarts — so "stale claims never match or win" holds
+    /// for the pool's entire lifetime. Runs on the coordinator between
+    /// jobs, while no worker reads the array.
+    fn next_claim_tag(&mut self) -> u64 {
+        if *self.claim_epoch >= u32::MAX as u64 {
+            for b in self.shared.best.read().unwrap().iter() {
+                b.store(u64::MAX, Ordering::Relaxed);
             }
-            if let Some(payload) = st.panic.take() {
-                // The workers are parked again (each caught its own
-                // unwind); propagate the original panic to the caller. The
-                // pool's arena locks may be poisoned now — the pool must
-                // not be reused after a propagated panic.
-                drop(st);
-                std::panic::resume_unwind(payload);
-            }
+            *self.claim_epoch = 0;
         }
-        // Concatenate the workers' segments in parent-range order: the
-        // global (parent, degree, vertex) ordering.
-        for sorted in &self.shared.sorted {
-            out.extend_from_slice(&sorted.read().unwrap());
-        }
+        *self.claim_epoch += 1;
+        claim_tag(*self.claim_epoch)
     }
 
-    /// Single-thread path for small frontiers: emit, sort, dedup, reorder.
-    fn expand_sequential(&mut self, base_label: Vidx, out: &mut Vec<Candidate>) {
+    /// Expand one level over `len` claimable items into `out`: on the
+    /// calling thread, in one range, for a 1-thread pool or below the
+    /// cutover; otherwise on the workers, whose buffers are concatenated.
+    /// Returns `true` when the workers ran it.
+    fn run_level(&mut self, len: usize, level: Level, out: &mut Vec<Candidate>) -> bool {
+        out.clear();
         let sh = self.shared;
-        let unvisited_guard = sh.unvisited.read().unwrap();
-        let unvisited: &VertexBitmap = &unvisited_guard;
-        let frontier_guard = sh.frontier.read().unwrap();
-        let frontier: &[Vidx] = &frontier_guard;
-        self.seq_cand.clear();
-        for (off, &v) in frontier.iter().enumerate() {
-            let parent = base_label + off as Vidx;
-            for &w in self.a.col(v as usize) {
-                if unvisited.contains(w) {
-                    self.seq_cand.push((w, parent, self.degrees[w as usize]));
-                }
-            }
+        if sh.config.nthreads == 1 || len < sh.config.seq_cutoff.max(1) {
+            expand_level(sh, self.a, level, std::iter::once(0..len), out);
+            return false;
         }
-        self.seq_cand.sort_unstable();
-        let mut last: Option<Vidx> = None;
-        for &c in self.seq_cand.iter() {
-            if last != Some(c.0) {
-                last = Some(c.0);
-                out.push(c);
-            }
+        sh.queue.reset_chunked(len, sh.config.chunk);
+        sh.post(JobKind::Level(level));
+        if let Some(payload) = sh.wait_done() {
+            // The workers are parked again (each caught its own unwind);
+            // propagate the original panic to the caller. The pool's arena
+            // locks may be poisoned now — the pool must not be reused after
+            // a propagated panic.
+            std::panic::resume_unwind(payload);
         }
-        out.sort_unstable_by_key(|&(v, parent, deg)| (parent, deg, v));
-    }
-
-    /// Single-thread pull path: walk the unvisited bitmap (fully visited
-    /// 64-vertex words cost one compare) and scan each surviving row
-    /// against the dense pull-label array. Each vertex is computed exactly
-    /// once, so no dedup pass is needed — only the final
-    /// `(parent, degree, vertex)` reorder.
-    fn expand_pull_sequential(&mut self, out: &mut Vec<Candidate>) {
-        let sh = self.shared;
-        let unvisited_guard = sh.unvisited.read().unwrap();
-        let labels_guard = sh.pull_labels.read().unwrap();
-        let labels: &[Vidx] = &labels_guard;
-        for v in unvisited_guard.ones() {
-            let mut best = Vidx::MAX;
-            for &w in self.a.col(v as usize) {
-                let l = labels[w as usize];
-                if l < best {
-                    best = l;
-                }
-            }
-            if best != Vidx::MAX {
-                out.push((v, best, self.degrees[v as usize]));
-            }
+        for cands in &sh.cands {
+            out.extend_from_slice(&cands.read().unwrap());
         }
-        out.sort_unstable_by_key(|&(v, parent, deg)| (parent, deg, v));
+        true
     }
 }
 
-/// Worker body: park on the gate, run the posted job (one level of the
-/// three-phase pipeline, or a share of a batch of whole orderings), report
-/// completion, repeat until shutdown. The serial workspace for batch jobs
-/// is worker-local and stays warm for the pool's lifetime. `last_epoch`
-/// is the gate epoch the pool started at.
-fn worker_loop(shared: &PoolShared, tid: usize, mut last_epoch: u64) {
-    let mut hist: Vec<u32> = Vec::new();
-    let mut cursors: Vec<u32> = Vec::new();
+/// The one expansion kernel of both the workers and the coordinator:
+/// expand every range of `level` that `ranges` yields into `out`.
+fn expand_level(
+    sh: &PoolShared,
+    a: &CscMatrix,
+    level: Level,
+    ranges: impl Iterator<Item = Range<usize>>,
+    out: &mut Vec<Candidate>,
+) {
+    let unvisited = sh.unvisited.read().unwrap();
+    match level {
+        Level::Push { base_label, tag } => {
+            let frontier = sh.frontier.read().unwrap();
+            let best = sh.best.read().unwrap();
+            for range in ranges {
+                let first = base_label + range.start as Vidx;
+                push(a, &unvisited, &best, tag, &frontier[range], first, out);
+            }
+        }
+        Level::Pull => {
+            let labels = sh.pull_labels.read().unwrap();
+            for range in ranges {
+                pull(a, &unvisited, &labels, range, out);
+            }
+        }
+    }
+}
+
+/// Push kernel over a frontier slice whose first vertex has parent label
+/// `first_parent`: offer each unvisited neighbour's claim `tag | parent` —
+/// a plain load first, `fetch_min` only when the offer is smaller — and
+/// emit `(neighbour, parent)` only when the offer lowered the claim. A
+/// smaller parent in another slice may still supersede the candidate (the
+/// workers' filter drops those).
+fn push(
+    a: &CscMatrix,
+    unvisited: &VertexBitmap,
+    best: &[AtomicU64],
+    tag: u64,
+    frontier: &[Vidx],
+    first_parent: Vidx,
+    out: &mut Vec<Candidate>,
+) {
+    for (&v, parent) in frontier.iter().zip(first_parent..) {
+        let offer = tag | parent as u64;
+        for &w in a.col(v as usize) {
+            let claim = &best[w as usize];
+            if unvisited.contains(w)
+                && claim.load(Ordering::Relaxed) > offer
+                && claim.fetch_min(offer, Ordering::Relaxed) > offer
+            {
+                out.push((w, parent));
+            }
+        }
+    }
+}
+
+/// Pull kernel over the vertex range `range`: each unvisited vertex (fully
+/// visited 64-vertex words cost one compare) scans its adjacency for the
+/// minimum frontier label. One thread computes each vertex, so no claim is
+/// needed.
+fn pull(
+    a: &CscMatrix,
+    unvisited: &VertexBitmap,
+    labels: &[Vidx],
+    range: Range<usize>,
+    out: &mut Vec<Candidate>,
+) {
+    for v in unvisited.ones_in(range) {
+        let parent = a
+            .col(v as usize)
+            .iter()
+            .fold(Vidx::MAX, |min, &w| min.min(labels[w as usize]));
+        if parent != Vidx::MAX {
+            out.push((v, parent));
+        }
+    }
+}
+
+/// Worker body: park on the gate, run the posted job (one parallel level,
+/// or a share of a batch of whole orderings), report completion, repeat
+/// until shutdown. The serial workspace for batch jobs is worker-local and
+/// stays warm for the pool's lifetime.
+fn worker_loop(shared: &PoolShared, tid: usize) {
+    let mut last_epoch = 0;
     let mut batch_ws = SerialWorkspace::new();
     loop {
         let job = {
@@ -891,15 +844,7 @@ fn worker_loop(shared: &PoolShared, tid: usize, mut last_epoch: u64) {
             }
         };
         let outcome = match job {
-            JobKind::Level { base_label, pull } => run_level(
-                shared,
-                tid,
-                base_label,
-                pull,
-                last_epoch,
-                &mut hist,
-                &mut cursors,
-            ),
+            JobKind::Level(level) => worker_level(shared, tid, level),
             JobKind::Batch => run_batch_share(shared, &mut batch_ws),
         };
         let mut st = shared.lock_gate();
@@ -915,15 +860,17 @@ fn worker_loop(shared: &PoolShared, tid: usize, mut last_epoch: u64) {
 
 /// One worker's share of a posted batch job: claim whole matrices from the
 /// queue and run the sequential pipeline on each.
-fn run_batch_share(
-    shared: &PoolShared,
-    ws: &mut SerialWorkspace,
-) -> Result<(), Box<dyn std::any::Any + Send>> {
+fn run_batch_share(shared: &PoolShared, ws: &mut SerialWorkspace) -> Result<(), Panic> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     catch_unwind(AssertUnwindSafe(|| {
         // Safety: the batch pointer is installed by `order_cm_batch`, which
-        // does not return before this worker reports done.
-        let job: &BatchJob = unsafe { &*shared.job.lock().unwrap().batch };
+        // does not return before this worker reports done. The guard drops
+        // at the end of its block: held across the claim loop, it would
+        // serialize the workers.
+        let job: &BatchJob = {
+            let slot = shared.job.lock().unwrap();
+            unsafe { &*slot.batch }
+        };
         while let Some(range) = shared.queue.claim() {
             for i in range {
                 let a = unsafe { &*job.mats[i] };
@@ -934,196 +881,48 @@ fn run_batch_share(
     }))
 }
 
-/// One worker's share of the three-phase pipeline for one level.
+/// One worker's share of a parallel level: expand the claimed chunks, then
+/// (push only) wait for every offer to land and drop the candidates whose
+/// claim a smaller parent lowered later. Each `(w, p)` pair was offered
+/// once, so exactly the minimum-parent candidate of every vertex survives.
 ///
-/// Each phase body runs under `catch_unwind` with the barriers *outside*
-/// the catch: a panicking worker still arrives at both barriers and still
+/// Each step runs under `catch_unwind` with the barrier *outside* the
+/// catch: a panicking worker still arrives at the barrier and still
 /// reports completion, so its siblings and the coordinator never hang —
 /// the first payload travels back through the gate and is re-thrown on the
 /// coordinator. (Locks it held while panicking are poisoned, so the pool
 /// must not be reused after a propagated panic — the unwind makes that the
 /// natural outcome.)
-fn run_level(
-    shared: &PoolShared,
-    tid: usize,
-    base_label: Vidx,
-    pull: bool,
-    epoch: u64,
-    hist: &mut Vec<u32>,
-    cursors: &mut Vec<u32>,
-) -> Result<(), Box<dyn std::any::Any + Send>> {
+fn worker_level(shared: &PoolShared, tid: usize, level: Level) -> Result<(), Panic> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let nw = shared.config.nthreads;
-    let tag = claim_tag(epoch);
-    // Safety: the matrix/degree pointers are installed by `RcmPool::run`,
-    // which keeps the borrows alive until after this worker reports done.
-    let (a, degrees) = {
+    // Safety: the matrix pointer is installed by `RcmPool::run`, which
+    // keeps the borrow alive until after this worker reports done. The
+    // guard drops at the end of its block: held across the level, it would
+    // block the other workers before the barrier.
+    let a: &CscMatrix = {
         let job = shared.job.lock().unwrap();
-        unsafe {
-            (
-                &*job.a,
-                std::slice::from_raw_parts(job.degrees, job.degrees_len),
-            )
-        }
+        unsafe { &*job.a }
     };
-
-    // --- Phase 1: dynamic expansion ------------------------------------
-    // Push: claim frontier chunks, emit each unvisited neighbour with its
-    // parent label and `fetch_min` the minimum-parent claim. Pull: claim
-    // vertex-range chunks and walk the unvisited bitmap over each chunk —
-    // a fully visited 64-vertex word costs one compare — scanning each
-    // surviving row's adjacency against the dense frontier-label array;
-    // each vertex is computed by exactly one worker, so no claims are
-    // needed.
-    let r1 = catch_unwind(AssertUnwindSafe(|| {
-        let unvisited_guard = shared.unvisited.read().unwrap();
-        let unvisited: &VertexBitmap = &unvisited_guard;
-        let frontier_guard = shared.frontier.read().unwrap();
-        let frontier: &[Vidx] = &frontier_guard;
-        let labels_guard = shared.pull_labels.read().unwrap();
-        let labels: &[Vidx] = &labels_guard;
-        let best_guard = shared.best.read().unwrap();
-        let best: &[AtomicU64] = &best_guard;
-        let mut cand = shared.cands[tid].write().unwrap();
-        cand.clear();
+    let expanded = catch_unwind(AssertUnwindSafe(|| {
+        let mut cands = shared.cands[tid].write().unwrap();
+        cands.clear();
         let mut claimed = 0usize;
-        while let Some(range) = shared.queue.claim() {
-            claimed += 1;
-            if pull {
-                for v in unvisited.ones_in(range) {
-                    let mut min_label = Vidx::MAX;
-                    for &w in a.col(v as usize) {
-                        let l = labels[w as usize];
-                        if l < min_label {
-                            min_label = l;
-                        }
-                    }
-                    if min_label != Vidx::MAX {
-                        cand.push((v, min_label, degrees[v as usize]));
-                    }
-                }
-            } else {
-                for off in range {
-                    let parent = base_label + off as Vidx;
-                    for &w in a.col(frontier[off] as usize) {
-                        if unvisited.contains(w) {
-                            cand.push((w, parent, degrees[w as usize]));
-                            best[w as usize].fetch_min(tag | parent as u64, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        }
+        let ranges = std::iter::from_fn(|| shared.queue.claim()).inspect(|_| claimed += 1);
+        expand_level(shared, a, level, ranges, &mut cands);
         shared.claims[tid].store(claimed, Ordering::Relaxed);
     }));
-    shared.barrier.wait();
-
-    // --- Phase 2: merge/dedup (claim-array filter) + routing -----------
-    let r2 = if r1.is_ok() {
-        catch_unwind(AssertUnwindSafe(|| {
-            // Push: each (vertex, parent) pair was emitted by exactly one
-            // worker, so keeping the pairs whose claim survived yields the
-            // unique minimum-parent set with no cross-worker comparison at
-            // all. Pull: candidates are already unique minima — routing
-            // only. Routing is a two-pass counting sort into the flat
-            // outbox (count survivors per destination, prefix-sum,
-            // scatter) instead of per-destination `Vec` pushes; within a
-            // destination segment the scatter preserves candidate order,
-            // so the stream each owner receives is unchanged.
-            let plen = shared.frontier.read().unwrap().len();
-            let best_guard = shared.best.read().unwrap();
-            let best: &[AtomicU64] = &best_guard;
-            let cand = shared.cands[tid].read().unwrap();
-            let survives = |c: &Candidate| {
-                pull || best[c.0 as usize].load(Ordering::Relaxed) == tag | c.1 as u64
-            };
-            let mut route = shared.routes[tid].write().unwrap();
-            let rb = &mut *route;
-            rb.offs.clear();
-            rb.offs.resize(nw + 1, 0);
-            for c in cand.iter() {
-                if survives(c) {
-                    rb.offs[bucket_owner((c.1 - base_label) as usize, plen, nw) + 1] += 1;
-                }
-            }
-            for k in 1..=nw {
-                rb.offs[k] += rb.offs[k - 1];
-            }
-            rb.buf.clear();
-            rb.buf.resize(rb.offs[nw] as usize, (0, 0, 0));
-            // Scatter, advancing offs[k] in place; shift back afterwards so
-            // offs[k]..offs[k + 1] is destination k's segment again.
-            for &c in cand.iter() {
-                if survives(&c) {
-                    let k = bucket_owner((c.1 - base_label) as usize, plen, nw);
-                    rb.buf[rb.offs[k] as usize] = c;
-                    rb.offs[k] += 1;
-                }
-            }
-            for k in (1..=nw).rev() {
-                rb.offs[k] = rb.offs[k - 1];
-            }
-            rb.offs[0] = 0;
-        }))
-    } else {
-        Ok(())
+    let Level::Push { tag, .. } = level else {
+        return expanded;
     };
     shared.barrier.wait();
-
-    // --- Phase 3: streaming bucket sort over this worker's parent range -
-    let r3 = if r1.is_ok() && r2.is_ok() {
-        catch_unwind(AssertUnwindSafe(|| {
-            let plen = shared.frontier.read().unwrap().len();
-            let routes: Vec<_> = shared.routes.iter().map(|r| r.read().unwrap()).collect();
-            fn inbox(rb: &RouteBox, tid: usize) -> &[Candidate] {
-                &rb.buf[rb.offs[tid] as usize..rb.offs[tid + 1] as usize]
-            }
-            let mut sorted = shared.sorted[tid].write().unwrap();
-            let range = bucket_range(tid, plen, nw);
-            let width = range.len();
-            hist.clear();
-            hist.resize(width + 1, 0);
-            for rb in routes.iter() {
-                for &(_, parent, _) in inbox(rb, tid) {
-                    hist[(parent - base_label) as usize - range.start + 1] += 1;
-                }
-            }
-            for b in 0..width {
-                hist[b + 1] += hist[b];
-            }
-            sorted.clear();
-            sorted.resize(hist[width] as usize, (0, 0, 0));
-            cursors.clear();
-            cursors.extend_from_slice(&hist[..width]);
-            for rb in routes.iter() {
-                for &c in inbox(rb, tid) {
-                    let b = (c.1 - base_label) as usize - range.start;
-                    sorted[cursors[b] as usize] = c;
-                    cursors[b] += 1;
-                }
-            }
-            // Within a parent bucket the (degree, vertex) key is unique, so
-            // the placement order above cannot leak into the result.
-            for b in 0..width {
-                let (s, e) = (hist[b] as usize, hist[b + 1] as usize);
-                sorted[s..e].sort_unstable_by_key(|&(v, _, deg)| (deg, v));
-            }
-        }))
-    } else {
-        Ok(())
-    };
-    r1.and(r2).and(r3)
-}
-
-/// Which bucket worker owns parent offset `off` of a `plen`-wide frontier.
-fn bucket_owner(off: usize, plen: usize, nworkers: usize) -> usize {
-    off * nworkers / plen
-}
-
-/// The parent-offset range bucket worker `k` owns — the exact preimage of
-/// [`bucket_owner`], so routing and placement always agree.
-fn bucket_range(k: usize, plen: usize, nworkers: usize) -> Range<usize> {
-    (k * plen).div_ceil(nworkers)..((k + 1) * plen).div_ceil(nworkers)
+    expanded?;
+    catch_unwind(AssertUnwindSafe(|| {
+        let best = shared.best.read().unwrap();
+        shared.cands[tid]
+            .write()
+            .unwrap()
+            .retain(|&(w, p)| best[w as usize].load(Ordering::Relaxed) == tag | p as u64);
+    }))
 }
 
 /// Thread counts to exercise in determinism tests: the `RCM_THREADS`
@@ -1204,30 +1003,18 @@ mod tests {
         assert_eq!(counts.iter().sum::<usize>(), 10_000);
     }
 
-    #[test]
-    fn bucket_owner_matches_bucket_range() {
-        for (plen, nw) in [(1usize, 4usize), (5, 4), (256, 3), (1000, 16), (17, 17)] {
-            let mut covered = 0usize;
-            for k in 0..nw {
-                for off in bucket_range(k, plen, nw) {
-                    assert_eq!(bucket_owner(off, plen, nw), k, "plen={plen} nw={nw}");
-                    covered += 1;
-                }
-            }
-            assert_eq!(covered, plen, "ranges must partition plen={plen}");
-        }
-    }
-
-    /// Run one expansion over `frontier` with the given pool and return
-    /// the candidate list plus whether the parallel path ran.
+    /// Run one push (or pull) expansion of `frontier`, whose position `k`
+    /// has parent label `base_label + k`, with the given pool: the
+    /// candidates sorted (the kernels leave their order unspecified), and
+    /// whether the parallel path ran.
     fn expand_once(
         pool: &mut RcmPool,
         a: &CscMatrix,
-        degrees: &[Vidx],
         frontier: &[Vidx],
         base_label: Vidx,
+        pull: bool,
     ) -> (Vec<Candidate>, bool) {
-        pool.run(a, degrees, |exec, _ws| {
+        pool.run(a, &a.degrees(), |exec, _ws| {
             exec.with_state(|unvisited, f| {
                 for &v in frontier {
                     unvisited.remove(v);
@@ -1235,43 +1022,86 @@ mod tests {
                 f.extend_from_slice(frontier);
             });
             let mut out = Vec::new();
-            let parallel = exec.expand(base_label, &mut out);
+            let parallel = if pull {
+                exec.expand_pull(base_label, &mut out)
+            } else {
+                exec.expand(base_label, &mut out)
+            };
+            out.sort_unstable();
             (out, parallel)
         })
     }
 
-    #[test]
-    fn parallel_pipeline_matches_sequential_expansion() {
-        // Dense-ish deterministic graph: one fat frontier, many duplicate
-        // candidates crossing worker boundaries.
-        let n = 900usize;
+    /// The independent oracle for [`expand_once`]: the reference SpMSpV
+    /// over the `(select2nd, min)` semiring, masked by the unvisited set
+    /// (every vertex outside the frontier).
+    fn oracle(a: &CscMatrix, frontier: &[Vidx], base_label: Vidx) -> Vec<Candidate> {
+        let x = rcm_sparse::SparseVec::from_entries(
+            a.n_cols(),
+            (frontier.iter().zip(base_label..))
+                .map(|(&v, label)| (v, label as Label))
+                .collect(),
+        );
+        rcm_sparse::spmspv_ref::<Label, rcm_sparse::Select2ndMin>(a, &x)
+            .entries()
+            .iter()
+            .filter(|(w, _)| !frontier.contains(w))
+            .map(|&(w, p)| (w, p as Vidx))
+            .collect()
+    }
+
+    /// Deterministic circulant graph: vertex `v` is adjacent to `v ± s`
+    /// for every shift `s` — fat frontiers, many duplicate candidates
+    /// crossing worker boundaries.
+    fn circulant(n: usize, shifts: &[usize]) -> CscMatrix {
         let mut b = CooBuilder::new(n, n);
         for v in 0..n {
-            for s in [1usize, 7, 31, 113] {
+            for &s in shifts {
                 let w = (v + s) % n;
                 if w != v {
                     b.push_sym(v as Vidx, w as Vidx);
                 }
             }
         }
-        let a = b.build();
-        let degrees = a.degrees();
-        let frontier: Vec<Vidx> = (0..300).map(|i| (i * 3) as Vidx).collect();
+        b.build()
+    }
 
-        let mut seq_pool = RcmPool::new(PoolConfig::new(1));
-        let (expect, par) = expand_once(&mut seq_pool, &a, &degrees, &frontier, 40);
-        assert!(!par);
-        assert!(!expect.is_empty());
-
-        for nthreads in [2usize, 3, 8] {
-            let mut pool = RcmPool::new(PoolConfig {
-                nthreads,
-                seq_cutoff: 1, // force the parallel path
-                chunk: 16,
-            });
-            let (got, par) = expand_once(&mut pool, &a, &degrees, &frontier, 40);
-            assert!(par);
-            assert_eq!(got, expect, "{nthreads} threads diverged");
+    #[test]
+    fn parallel_pipeline_matches_sequential_expansion() {
+        let a = circulant(900, &[1, 7, 31, 113]);
+        // Consecutive labels (an ordering level: vertex `k` of the
+        // frontier is labeled `40 + k`), and all-equal values, where the
+        // backend loads the frontier in entry order and positions act as
+        // parents (base 0, a scrambled vertex order). The short frontier
+        // stays under the default cutover.
+        let frontiers: [(Vec<Vidx>, Vidx); 3] = [
+            ((0..300).map(|i| i * 3).collect(), 40),
+            ((0..300).map(|i| (i * 7 + 5) % 900).collect(), 0),
+            ((0..40).map(|i| i * 11).collect(), 7),
+        ];
+        for (frontier, base) in &frontiers {
+            let expect = oracle(&a, frontier, *base);
+            assert!(!expect.is_empty());
+            for nthreads in [1usize, 2, 3, 8] {
+                for seq_cutoff in [1, DEFAULT_SEQ_CUTOFF] {
+                    let mut pool = RcmPool::new(PoolConfig {
+                        nthreads,
+                        seq_cutoff,
+                        chunk: 16,
+                    });
+                    for pull in [false, true] {
+                        let (got, par) = expand_once(&mut pool, &a, frontier, *base, pull);
+                        let len = if pull { a.n_rows() } else { frontier.len() };
+                        assert_eq!(par, nthreads > 1 && len >= seq_cutoff);
+                        assert_eq!(
+                            got,
+                            expect,
+                            "pull={pull} threads={nthreads} cutoff={seq_cutoff} len={}",
+                            frontier.len()
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1279,28 +1109,16 @@ mod tests {
     fn persistent_workers_survive_many_runs() {
         // The same pool executes parallel levels across repeated runs —
         // the workers are spawned once at construction and reused.
-        let n = 600usize;
-        let mut b = CooBuilder::new(n, n);
-        for v in 0..n {
-            for s in [1usize, 13, 57] {
-                let w = (v + s) % n;
-                if w != v {
-                    b.push_sym(v as Vidx, w as Vidx);
-                }
-            }
-        }
-        let a = b.build();
-        let degrees = a.degrees();
-        let frontier: Vec<Vidx> = (0..200).map(|i| (i * 2) as Vidx).collect();
+        let a = circulant(600, &[1, 13, 57]);
+        let frontier: Vec<Vidx> = (0..200).map(|i| i * 2).collect();
+        let expect = oracle(&a, &frontier, 10);
         let mut pool = RcmPool::new(PoolConfig {
             nthreads: 3,
             seq_cutoff: 1,
             chunk: 8,
         });
-        let (expect, par) = expand_once(&mut pool, &a, &degrees, &frontier, 10);
-        assert!(par);
-        for round in 0..5 {
-            let (got, par) = expand_once(&mut pool, &a, &degrees, &frontier, 10);
+        for round in 0..6 {
+            let (got, par) = expand_once(&mut pool, &a, &frontier, 10, round % 2 == 1);
             assert!(par);
             assert_eq!(got, expect, "round {round} diverged on the warm pool");
         }
@@ -1309,40 +1127,29 @@ mod tests {
     #[test]
     fn claim_tags_survive_the_epoch_wraparound() {
         // The claim-tag space is 32 bits wide; a pool that lives past 2³²
-        // posted jobs must recycle it. The hardest case: the level at
-        // epoch u32::MAX writes tag-0 entries (the complement of the
+        // push levels must recycle it. The hardest case: the level at
+        // claim epoch u32::MAX writes tag-0 entries (the complement of the
         // epoch) into the claim array — the smallest possible tags, which
         // would win every future `fetch_min` — and the very next level
-        // wraps. Without the recycling clear, the post-wrap filter would
-        // reject every candidate and drop vertices from the frontier.
-        let n = 900usize;
-        let mut b = CooBuilder::new(n, n);
-        for v in 0..n {
-            for s in [1usize, 7, 31] {
-                let w = (v + s) % n;
-                if w != v {
-                    b.push_sym(v as Vidx, w as Vidx);
-                }
-            }
-        }
-        let a = b.build();
-        let degrees = a.degrees();
-        let frontier: Vec<Vidx> = (0..300).map(|i| (i * 3) as Vidx).collect();
-        let mut seq_pool = RcmPool::new(PoolConfig::new(1));
-        let (expect, _) = expand_once(&mut seq_pool, &a, &degrees, &frontier, 40);
-        let mut pool = RcmPool::starting_at_epoch(
-            PoolConfig {
-                nthreads: 3,
+        // wraps. Without the recycling clear, every post-wrap offer would
+        // lose to a stale claim and the frontier would come back empty.
+        // Both the workers and the calling thread take claims.
+        let a = circulant(900, &[1, 7, 31]);
+        let frontier: Vec<Vidx> = (0..300).map(|i| i * 3).collect();
+        let expect = oracle(&a, &frontier, 40);
+        for nthreads in [1, 3] {
+            let mut pool = RcmPool::new(PoolConfig {
+                nthreads,
                 seq_cutoff: 1,
                 chunk: 16,
-            },
-            u32::MAX as u64 - 1,
-        );
-        for round in 0..4 {
-            // Rounds post epochs MAX, then wrap → 1, 2, 3.
-            let (got, par) = expand_once(&mut pool, &a, &degrees, &frontier, 40);
-            assert!(par);
-            assert_eq!(got, expect, "round {round} diverged across the wrap");
+            });
+            pool.claim_epoch = u32::MAX as u64 - 1;
+            for round in 0..4 {
+                // Rounds take claim epochs MAX, then wrap → 1, 2, 3.
+                let (got, par) = expand_once(&mut pool, &a, &frontier, 40, false);
+                assert_eq!(par, nthreads > 1);
+                assert_eq!(got, expect, "round {round} diverged across the wrap");
+            }
         }
     }
 
@@ -1381,26 +1188,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "index out of bounds")]
     fn worker_panic_propagates_instead_of_hanging() {
-        // A too-short degree slice makes a worker panic mid-expansion; the
-        // panic must surface on the caller promptly (previously the
-        // siblings deadlocked on the barrier and the test would hang).
-        let n = 800usize;
-        let mut b = CooBuilder::new(n, n);
-        for v in 0..n - 1 {
-            b.push_sym(v as Vidx, (v + 1) as Vidx);
-        }
-        let a = b.build();
-        let degrees = a.degrees();
-        // Even vertices in the frontier → odd neighbours become candidates,
-        // whose degree lookups overrun the truncated slice.
-        let frontier: Vec<Vidx> = (0..400).map(|i| (i * 2) as Vidx).collect();
+        // An out-of-range frontier vertex makes the worker that claims it
+        // panic mid-expansion; the panic must surface on the caller
+        // promptly (a worker that unwound past the barrier would leave its
+        // siblings deadlocked there and the test would hang).
+        let a = circulant(800, &[1]);
+        let mut frontier: Vec<Vidx> = (0..400).map(|i| i * 2).collect();
+        frontier[200] = 5000;
         let mut pool = RcmPool::new(PoolConfig {
             nthreads: 3,
             seq_cutoff: 1,
             chunk: 16,
         });
-        let short = &degrees[..1];
-        let _ = expand_once(&mut pool, &a, short, &frontier, 0);
+        pool.run(&a, &a.degrees(), |exec, _ws| {
+            exec.with_state(|_, f| f.extend_from_slice(&frontier));
+            exec.expand(0, &mut Vec::new());
+        });
     }
 
     use crate::testutil::scrambled_grid;

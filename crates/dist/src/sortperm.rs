@@ -69,11 +69,11 @@ fn sortperm_data(
 fn sortperm_data_counting(
     x: &DistSparseVec<Label>,
     degrees: &DistDenseVec<Vidx>,
-    bucket_range: (Label, Label),
+    value_range: (Label, Label),
     nv: Label,
 ) -> (DistSparseVec<Label>, usize) {
     assert_eq!(x.layout, degrees.layout, "SORTPERM: layout mismatch");
-    let (lo, hi) = bucket_range;
+    let (lo, hi) = value_range;
     let nb = (hi - lo).max(0) as usize;
     let mut offs = vec![0usize; nb + 1];
     let mut count = 0usize;
@@ -113,23 +113,23 @@ fn sortperm_data_counting(
 
 /// The paper's specialized distributed bucket sort.
 ///
-/// `bucket_range` is the half-open label range of the previous frontier
+/// `value_range` is the half-open label range of the previous frontier
 /// (the possible parent values); `nv` the first label to assign. Returns
 /// the labels as a sparse vector (entries `(vertex, label)`) plus the
 /// number of labeled vertices.
 pub fn dist_sortperm(
     x: &DistSparseVec<Label>,
     degrees: &DistDenseVec<Vidx>,
-    bucket_range: (Label, Label),
+    value_range: (Label, Label),
     nv: Label,
     clock: &mut SimClock,
 ) -> (DistSparseVec<Label>, usize) {
     debug_assert!(
         x.iter_entries()
-            .all(|(_, v)| v >= bucket_range.0 && v < bucket_range.1),
+            .all(|(_, v)| v >= value_range.0 && v < value_range.1),
         "SORTPERM: value outside the declared bucket range"
     );
-    let (out, count) = sortperm_data_counting(x, degrees, bucket_range, nv);
+    let (out, count) = sortperm_data_counting(x, degrees, value_range, nv);
 
     let p = x.layout.nprocs();
     let max_send = x.max_part_nnz();

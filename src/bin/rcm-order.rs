@@ -94,6 +94,11 @@ fn default_threads() -> usize {
     thread_counts_from_env(&[6])[0]
 }
 
+/// A core or thread count: a positive integer, `None` otherwise.
+fn positive(s: &str) -> Option<usize> {
+    s.parse().ok().filter(|&k| k > 0)
+}
+
 fn parse_args() -> Options {
     let mut opts = Options {
         inputs: Vec::new(),
@@ -140,13 +145,13 @@ fn parse_args() -> Options {
                 let list = args.next().unwrap_or_else(|| usage());
                 opts.simulate = list
                     .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
+                    .map(|s| positive(s.trim()).unwrap_or_else(|| usage()))
                     .collect();
             }
             "--threads" => {
                 opts.threads = args
                     .next()
-                    .and_then(|s| s.parse().ok())
+                    .and_then(|s| positive(&s))
                     .unwrap_or_else(|| usage())
             }
             "--help" | "-h" => usage(),
@@ -197,7 +202,7 @@ fn main() {
     let backend_kind = opts.backend.as_deref().map(|name| match name {
         "serial" => BackendKind::Serial,
         "pooled" => BackendKind::Pooled {
-            threads: opts.threads.max(1),
+            threads: opts.threads,
         },
         "dist" => BackendKind::Dist { cores: 16 },
         "hybrid" => BackendKind::Hybrid {

@@ -434,6 +434,31 @@ fn bad_flags_exit_with_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
+/// Run `rcm-order` on a small suite matrix with `args` appended and
+/// assert a usage error: exit 2 with the usage message, no panic.
+fn assert_usage_error(args: &[&str]) {
+    let out = rcm_order()
+        .args(["suite:nd24k", "--scale", "0.005"])
+        .args(args)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn zero_simulate_cores_exit_2_with_usage() {
+    assert_usage_error(&["--simulate", "0"]);
+    assert_usage_error(&["--simulate", "4,0"]);
+}
+
+#[test]
+fn zero_threads_exit_2_with_usage() {
+    assert_usage_error(&["--threads", "0", "--simulate", "4"]);
+    assert_usage_error(&["--backend", "pooled", "--threads", "0"]);
+}
+
 #[test]
 fn missing_mtx_file_exits_2_naming_the_file() {
     let out = rcm_order()
