@@ -22,14 +22,10 @@
 //! Determinism: the pool's claim array converges to the same minima under
 //! any interleaving, so every primitive returns the exact sequential value
 //! for any thread count — the backend is bit-identical to
-//! [`crate::backends::SerialBackend`].
-//!
-//! Contract note: when every frontier value is equal (BFS sweeps, level
-//! stamps), the pool's expansion emits frontier *positions* as values
-//! instead of the shared input value. The driver never observes them — it
-//! stamps or re-gathers before the next read — and the result's *support*
-//! (the semiring's select set) is always exact; frontiers mixing duplicate
-//! and distinct values are rejected with a panic.
+//! [`crate::backends::SerialBackend`]. The expansion takes two frontier
+//! shapes, the two the driver builds: all values equal (BFS sweeps, level
+//! stamps) or distinct consecutive labels (the ordering pass). A frontier
+//! of any other shape is rejected with a panic.
 
 use crate::driver::{DenseTarget, RcmRuntime};
 use crate::pool::{LevelExecutor, PooledWorkspace};
@@ -88,50 +84,57 @@ impl<'x, 's> PooledBackend<'x, 's> {
         }
     }
 
-    /// Load `x` into the pool's frontier array and return the base label.
+    /// Load `x` into the pool's frontier array. Returns the label of
+    /// position 0 and, for a uniform frontier, the shared value.
     ///
     /// When the stored values are the consecutive labels of the previous
     /// SORTPERM batch, position `k` of the pool frontier must hold the
     /// vertex labeled `base + k` so expansion emits true parent labels.
-    /// Otherwise (BFS sweeps, level stamps: all values equal) positions are
-    /// only dedup keys and entry order is used. A mix of duplicated and
-    /// distinct values is outside this backend's contract — the occupancy
-    /// check turns it into a loud panic instead of a silently corrupted
-    /// frontier.
-    fn load_frontier(&mut self, x: &[(Vidx, Label)]) -> Vidx {
-        let min = x.iter().map(|&(_, v)| v).min().unwrap_or(0);
-        let max = x.iter().map(|&(_, v)| v).max().unwrap_or(-1);
-        let consecutive = !x.is_empty() && (max - min + 1) as usize == x.len();
-        let base: Vidx = if consecutive { min as Vidx } else { 0 };
+    /// When all values are equal (BFS sweeps, level stamps) positions are
+    /// only dedup keys: entry order is used, and [`Self::expanded`] returns
+    /// the shared value. Any other frontier is outside this backend's
+    /// contract — the range and occupancy checks turn it into a loud panic
+    /// instead of a silently corrupted frontier.
+    fn load_frontier(&mut self, x: &[(Vidx, Label)]) -> (Vidx, Option<Label>) {
+        const SHAPE: &str =
+            "PooledBackend frontier values must be all-equal or distinct consecutive labels";
+        let (lo, hi) = x
+            .iter()
+            .fold((Label::MAX, Label::MIN), |(lo, hi), &(_, value)| {
+                (lo.min(value), hi.max(value))
+            });
+        let uniform = lo >= hi;
         self.exec.with_state(|_, frontier| {
             frontier.clear();
-            if consecutive {
-                frontier.resize(x.len(), Vidx::MAX);
-                for &(v, value) in x {
-                    frontier[(value - min) as usize] = v;
-                }
-                assert!(
-                    !frontier.contains(&Vidx::MAX),
-                    "PooledBackend frontier values must be all-equal or distinct \
-                     consecutive labels"
-                );
-            } else {
+            if uniform {
                 frontier.extend(x.iter().map(|&(v, _)| v));
+                return;
             }
+            assert!(hi.abs_diff(lo) == (x.len() - 1) as u64, "{SHAPE}");
+            frontier.resize(x.len(), Vidx::MAX);
+            for &(v, value) in x {
+                frontier[(value - lo) as usize] = v;
+            }
+            assert!(!frontier.contains(&Vidx::MAX), "{SHAPE}");
         });
-        base
+        if uniform {
+            (0, Some(lo))
+        } else {
+            (lo as Vidx, None)
+        }
     }
 
-    /// The expansion just written to the candidate buffer, as a frontier;
+    /// The expansion just written to the candidate buffer, as a frontier
+    /// carrying `shared` (a uniform frontier's value) or the parent labels;
     /// counts it when the parallel pipeline ran an ordering level.
-    fn expanded(&mut self, parallel: bool) -> Vec<(Vidx, Label)> {
+    fn expanded(&mut self, parallel: bool, shared: Option<Label>) -> Vec<(Vidx, Label)> {
         if parallel && self.phase == Phase::OrderingSpmspv {
             self.parallel_levels += 1;
         }
         self.ws
             .cands
             .iter()
-            .map(|&(v, p)| (v, p as Label))
+            .map(|&(v, p)| (v, shared.unwrap_or(p as Label)))
             .collect()
     }
 }
@@ -168,9 +171,9 @@ impl RcmRuntime for PooledBackend<'_, '_> {
     }
 
     fn spmspv(&mut self, x: &Self::Frontier) -> Self::Frontier {
-        let base = self.load_frontier(x);
+        let (base, shared) = self.load_frontier(x);
         let parallel = self.exec.expand(base, &mut self.ws.cands);
-        self.expanded(parallel)
+        self.expanded(parallel, shared)
     }
 
     fn expand_pull(&mut self, x: &Self::Frontier, _which: DenseTarget) -> Self::Frontier {
@@ -178,9 +181,9 @@ impl RcmRuntime for PooledBackend<'_, '_> {
         // vertices the current component can reach, so it *is* the pull
         // mask — the bottom-up expansion already returns only unvisited
         // vertices, exactly what `SELECT` would keep.
-        let base = self.load_frontier(x);
+        let (base, shared) = self.load_frontier(x);
         let parallel = self.exec.expand_pull(base, &mut self.ws.cands);
-        self.expanded(parallel)
+        self.expanded(parallel, shared)
     }
 
     fn frontier_nnz(&mut self, x: &Self::Frontier) -> usize {
@@ -296,10 +299,17 @@ impl RcmRuntime for PooledBackend<'_, '_> {
     }
 
     fn find_unvisited_min_degree(&mut self) -> Option<Vidx> {
-        let degrees = self.exec.degrees();
-        (0..self.n)
-            .filter(|&v| self.ws.order[v] == UNVISITED)
-            .min_by_key(|&v| (degrees[v], v as Vidx))
-            .map(|v| v as Vidx)
+        // The first unlabeled vertex in `(degree, vertex)` order is the
+        // minimum, and labels stay, so the cursor only moves forward: each
+        // vertex is passed once per ordering.
+        let ws = &mut *self.ws;
+        while let Some(&v) = ws.by_degree.get(ws.cursor) {
+            if ws.order[v as usize] == UNVISITED {
+                return Some(v);
+            }
+            ws.cursor += 1;
+            ws.reseed_steps += 1;
+        }
+        None
     }
 }

@@ -1,7 +1,6 @@
-//! [`SerialBackend`]: the Table-I primitives on sequential `rcm-sparse`
-//! vectors — the *specification* backend every other one must match bit
-//! for bit (the matrix-algebraic formulation, Algorithms 3–4, on one
-//! core).
+//! [`SerialBackend`]: the Table-I primitives on one core — the
+//! *specification* backend every other one must match bit for bit (the
+//! matrix-algebraic formulation, Algorithms 3–4).
 //!
 //! The backend's allocation lifecycle is split in two, the pattern every
 //! backend follows since the engine refactor:
@@ -19,32 +18,54 @@
 //! owns a fresh workspace. Inside the crate, `SerialWorkspace::order_cm`
 //! runs all three steps — the one serial ordering body behind the engine
 //! and the pool's batch jobs.
+//!
+//! Contract note — `SPMSPV` is fused with `SELECT`, as in the pooled
+//! backend:
+//!
+//! * One unvisited bitmap mirrors both dense companions: a bit is set
+//!   while its vertex is unvisited in `R` *and* in `L`.
+//!   [`RcmRuntime::set_dense`] and [`RcmRuntime::set_dense_at`] clear bits
+//!   (the driver writes only labels and levels, never `UNVISITED`).
+//! * [`RcmRuntime::spmspv`] visits the frontier in ascending value order
+//!   and *claims* every neighbour whose bit is still set on first touch: it
+//!   clears the bit and returns the neighbour with the parent's value. The
+//!   first toucher holds the smallest value, so each returned row carries
+//!   its exact `(select2nd, min)` value; visited neighbours are never
+//!   returned. The work count stays `Σ deg(frontier)`.
+//! * [`RcmRuntime::select_unvisited`] still filters against the dense
+//!   companion, so each call site observes its specified result. The
+//!   reference for `SPMSPV` alone is [`rcm_sparse::spmspv_ref`].
+//! * Every `L` write lands in a touched list. [`RcmRuntime::reset_levels`]
+//!   and [`RcmRuntime::end_peripheral_search`] restore the level marks and
+//!   their bits through it in O(component); the driver writes `L` at every
+//!   vertex a sweep claims. Between components the bitmap therefore holds
+//!   exactly the unlabeled vertices.
 
 use crate::driver::{
     drive_cm_with, DenseTarget, DriverStats, ExpandDirection, LabelingMode, RcmRuntime, StartNode,
 };
 use rcm_sparse::{
-    counting_sortperm, dense_set, spmspv, spmspv_pull, CscMatrix, DenseFrontier, Label,
-    Permutation, PullBuffer, Select2ndMin, SortpermScratch, SparseVec, SpmspvWorkspace,
-    VertexBitmap, Vidx, UNVISITED,
+    counting_sortperm, spmspv_pull, CscMatrix, DenseFrontier, Label, Permutation, PullBuffer,
+    Select2ndMin, SortpermScratch, VertexBitmap, Vidx, UNVISITED,
 };
 
-/// The grow-only, reusable state of a [`SerialBackend`]: dense ordering and
-/// level companions (each shadowed by an unvisited-vertex bitmap so the
-/// pull kernel can skip fully visited 64-vertex words in one compare), the
-/// degree vector, and the SpMSpV scratch (sparse accumulator + dense pull
-/// frontier + warm pull output buffer + SORTPERM counting-sort scratch).
-/// Keep one per session and thread it through successive orderings to
-/// amortize every allocation.
+/// The grow-only, reusable state of a [`SerialBackend`]: the dense ordering
+/// and level companions, the one unvisited bitmap that mirrors both, the
+/// level-mark undo list, the degree vector, and the expansion scratch
+/// (frontier placement, dense pull frontier, warm pull output buffer,
+/// SORTPERM counting-sort scratch). Keep one per session and thread it
+/// through successive orderings to amortize every allocation.
 pub struct SerialWorkspace {
     degrees: Vec<Vidx>,
     order: Vec<Label>,
     levels: Vec<Label>,
-    /// Vertices with `order[v] == UNVISITED`, bit per vertex.
-    unvisited_order: VertexBitmap,
-    /// Vertices with `levels[v] == UNVISITED`, bit per vertex.
-    unvisited_levels: VertexBitmap,
-    spa: SpmspvWorkspace<Label>,
+    /// Vertices with `order[v] == UNVISITED` and `levels[v] == UNVISITED`,
+    /// bit per vertex — less the ones the current expansion has claimed.
+    unvisited: VertexBitmap,
+    /// Vertices whose `levels` entry was written since the last reset.
+    touched: Vec<Vidx>,
+    /// A consecutive-label frontier's vertices, placed at `label - min`.
+    parents: Vec<Vidx>,
     pull: DenseFrontier<Label>,
     pull_buf: PullBuffer<Label>,
     sort_scratch: SortpermScratch,
@@ -57,6 +78,13 @@ impl Default for SerialWorkspace {
     }
 }
 
+/// Reserve room for `n` entries in `v`; returns whether it had to grow.
+fn reserve_to<T>(v: &mut Vec<T>, n: usize) -> bool {
+    let grew = v.capacity() < n;
+    v.reserve(n.saturating_sub(v.len()));
+    grew
+}
+
 impl SerialWorkspace {
     /// Empty workspace; buffers grow on first install.
     pub fn new() -> Self {
@@ -64,9 +92,9 @@ impl SerialWorkspace {
             degrees: Vec::new(),
             order: Vec::new(),
             levels: Vec::new(),
-            unvisited_order: VertexBitmap::new(0),
-            unvisited_levels: VertexBitmap::new(0),
-            spa: SpmspvWorkspace::new(0),
+            unvisited: VertexBitmap::new(0),
+            touched: Vec::new(),
+            parents: Vec::new(),
             pull: DenseFrontier::new(0),
             pull_buf: PullBuffer::new(),
             sort_scratch: SortpermScratch::new(),
@@ -78,15 +106,13 @@ impl SerialWorkspace {
     /// warm workspace re-installed on matrices no larger than any it has
     /// seen reports a stable count.
     pub fn growth_events(&self) -> usize {
-        self.growth_events
-            + self.spa.growth_events()
-            + self.pull_buf.growth_events()
-            + self.sort_scratch.growth_events()
+        self.growth_events + self.pull_buf.growth_events() + self.sort_scratch.growth_events()
     }
 
     /// Bind an `n`-vertex matrix: recompute degrees, reset the active
-    /// prefix of both dense companions, pre-grow the SpMSpV scratch.
-    /// Grow-only — no allocation when `n` is within the high-water mark.
+    /// prefix of both dense companions and the bitmap, pre-grow the
+    /// expansion scratch. Grow-only — no allocation when `n` is within the
+    /// high-water mark.
     fn install(&mut self, a: &CscMatrix) {
         let n = a.n_rows();
         let dense_grew = self.order.capacity() < n || self.degrees.capacity() < n;
@@ -97,20 +123,18 @@ impl SerialWorkspace {
         }
         self.order[..n].fill(UNVISITED);
         self.levels[..n].fill(UNVISITED);
-        // `|` not `||`: both bitmaps must be re-bound even when the first
-        // one reports growth.
-        let bits_grew = self.unvisited_order.reset_ones(n) | self.unvisited_levels.reset_ones(n);
-        if dense_grew || bits_grew {
+        self.touched.clear();
+        // Pre-grow the shape-dependent scratch to its n-bounded ceiling so
+        // growth stays monotone in the matrix size: a sweep's level marks,
+        // a frontier, a level's pull results and SORTPERM entries are all
+        // ≤ n, but their per-level peaks do not track n (a 200-vertex star
+        // has a fatter level than a bigger grid), so without this a warm
+        // workspace could grow on a smaller matrix.
+        let scratch_grew = reserve_to(&mut self.touched, n) | reserve_to(&mut self.parents, n);
+        if dense_grew | self.unvisited.reset_ones(n) | scratch_grew {
             self.growth_events += 1;
         }
-        self.spa.ensure(n);
         self.pull.ensure(n);
-        // Pre-grow the shape-dependent scratch to its n-bounded ceiling so
-        // growth stays monotone in the matrix size: a level's pull results
-        // and SORTPERM entries are both ≤ n, but their per-level peaks do
-        // not track n (a 200-vertex star has a fatter level than a bigger
-        // grid), so without this a warm workspace could grow on a smaller
-        // matrix.
         self.pull_buf.ensure(n);
         self.sort_scratch.ensure(n);
     }
@@ -130,9 +154,55 @@ impl SerialWorkspace {
         *self = ws;
         (cm, stats)
     }
+
+    /// Place a frontier that holds each value of `lo..=hi` exactly once at
+    /// `value - lo` (the ordering pass's consecutive labels); `false` when
+    /// the values are not such a run.
+    fn place_consecutive(&mut self, x: &[(Vidx, Label)], lo: Label, hi: Label) -> bool {
+        if hi.abs_diff(lo) != (x.len() - 1) as u64 {
+            return false;
+        }
+        self.parents.clear();
+        self.parents.resize(x.len(), Vidx::MAX);
+        for &(v, value) in x {
+            let slot = &mut self.parents[(value - lo) as usize];
+            if *slot != Vidx::MAX {
+                return false;
+            }
+            *slot = v;
+        }
+        true
+    }
 }
 
-/// Sequential reference backend over [`rcm_sparse`] containers.
+/// Claim every neighbour of `v` whose bit is still set for `value`: emit
+/// the neighbour and clear its bit. Returns the edges scanned.
+#[inline]
+fn claim(
+    a: &CscMatrix,
+    unvisited: &mut VertexBitmap,
+    v: Vidx,
+    value: Label,
+    out: &mut Vec<(Vidx, Label)>,
+) -> usize {
+    let col = a.col(v as usize);
+    let first = out.len();
+    // A column holds each row once, so the scan can test the bits as they
+    // stood before this parent and clear the claimed ones afterwards: the
+    // per-edge loop stores nothing.
+    let words = unvisited.words();
+    out.extend(
+        col.iter()
+            .filter(|&&w| words[w as usize / 64] >> (w % 64) & 1 != 0)
+            .map(|&w| (w, value)),
+    );
+    for &(w, _) in &out[first..] {
+        unvisited.remove(w);
+    }
+    col.len()
+}
+
+/// Sequential reference backend.
 pub struct SerialBackend<'a> {
     a: &'a CscMatrix,
     n: usize,
@@ -191,135 +261,163 @@ impl<'a> SerialBackend<'a> {
 }
 
 impl RcmRuntime for SerialBackend<'_> {
-    type Frontier = SparseVec<Label>;
+    /// `(vertex, value)` pairs in no particular order.
+    type Frontier = Vec<(Vidx, Label)>;
 
     fn n(&self) -> usize {
         self.n
     }
 
-    fn singleton(&mut self, v: Vidx, value: Label) -> SparseVec<Label> {
-        SparseVec::singleton(self.n, v, value)
+    fn singleton(&mut self, v: Vidx, value: Label) -> Self::Frontier {
+        vec![(v, value)]
     }
 
-    fn is_nonempty(&mut self, x: &SparseVec<Label>) -> bool {
+    fn is_nonempty(&mut self, x: &Self::Frontier) -> bool {
         !x.is_empty()
     }
 
-    fn frontier_nnz(&mut self, x: &SparseVec<Label>) -> usize {
-        x.nnz()
+    fn frontier_nnz(&mut self, x: &Self::Frontier) -> usize {
+        x.len()
     }
 
     fn pull_profitable(&self) -> bool {
-        // One core, no communication, no atomics: the SPA push is already
-        // optimal and min-label pull cannot early-exit, so the adaptive
-        // policy stays push-only here (forced pull still works and is what
-        // the equivalence suite sweeps).
+        // One core, no communication, no atomics: the claiming push is
+        // already optimal and min-label pull cannot early-exit, so the
+        // adaptive policy stays push-only here (forced pull still works and
+        // is what the equivalence suite sweeps).
         false
     }
 
-    fn append(&mut self, acc: &mut SparseVec<Label>, x: &SparseVec<Label>) {
-        // The accumulator feeds only `sortperm`, which does a full tuple
-        // sort — keeping it index-sorted here would be wasted work.
-        acc.entries_mut().extend_from_slice(x.entries());
+    fn append(&mut self, acc: &mut Self::Frontier, x: &Self::Frontier) {
+        acc.extend_from_slice(x);
     }
 
-    fn stamp(&mut self, x: &mut SparseVec<Label>, value: Label) {
-        x.map_values(|_, _| value);
+    fn stamp(&mut self, x: &mut Self::Frontier, value: Label) {
+        for (_, v) in x.iter_mut() {
+            *v = value;
+        }
     }
 
-    fn spmspv(&mut self, x: &SparseVec<Label>) -> SparseVec<Label> {
-        let (y, work) = spmspv::<Label, Select2ndMin>(self.a, x, &mut self.ws.spa);
+    fn spmspv(&mut self, x: &Self::Frontier) -> Self::Frontier {
+        // Parents in ascending value order, so each claim's first toucher
+        // carries the minimum: a uniform frontier (sweeps, level stamps)
+        // as it is, consecutive labels (the ordering pass) placed by
+        // `label - min`, anything else sorted by value.
+        let (lo, hi) = x
+            .iter()
+            .fold((Label::MAX, Label::MIN), |(lo, hi), &(_, value)| {
+                (lo.min(value), hi.max(value))
+            });
+        let (a, ws) = (self.a, &mut self.ws);
+        let mut out = Vec::new();
+        let mut work = 0;
+        if lo == hi || x.is_empty() {
+            for &(v, _) in x {
+                work += claim(a, &mut ws.unvisited, v, lo, &mut out);
+            }
+        } else if ws.place_consecutive(x, lo, hi) {
+            for (&v, value) in ws.parents.iter().zip(lo..) {
+                work += claim(a, &mut ws.unvisited, v, value, &mut out);
+            }
+        } else {
+            let mut sorted = x.clone();
+            sorted.sort_unstable_by_key(|&(v, value)| (value, v));
+            for &(v, value) in &sorted {
+                work += claim(a, &mut ws.unvisited, v, value, &mut out);
+            }
+        }
         self.spmspv_work += work;
-        y
+        out
     }
 
-    fn select_unvisited(&mut self, x: &SparseVec<Label>, which: DenseTarget) -> SparseVec<Label> {
-        x.select(self.dense(which), |l| l == UNVISITED)
+    fn select_unvisited(&mut self, x: &Self::Frontier, which: DenseTarget) -> Self::Frontier {
+        let dense = self.dense(which);
+        x.iter()
+            .copied()
+            .filter(|&(v, _)| dense[v as usize] == UNVISITED)
+            .collect()
     }
 
-    fn expand_pull(&mut self, x: &SparseVec<Label>, which: DenseTarget) -> SparseVec<Label> {
+    fn expand_pull(&mut self, x: &Self::Frontier, _which: DenseTarget) -> Self::Frontier {
         // Sparse → dense conversion of the dual representation, then the
         // bitmap-masked row-scan kernel over the unvisited rows (all-visited
-        // words cost one compare each) into the warm output buffer.
+        // words cost one compare each) into the warm output buffer. The one
+        // bitmap is exact for either companion: a sweep's frontier reaches
+        // only its own, still unlabeled, component.
         let ws = &mut self.ws;
-        ws.pull.load(x);
-        let cands = match which {
-            DenseTarget::Order => &ws.unvisited_order,
-            DenseTarget::Levels => &ws.unvisited_levels,
-        };
+        ws.pull.clear();
+        for &(v, value) in x {
+            ws.pull.insert(v, value);
+        }
         self.spmspv_work +=
-            spmspv_pull::<Label, Select2ndMin>(self.a, &ws.pull, cands, &mut ws.pull_buf);
-        ws.pull_buf.to_sparse(self.n)
+            spmspv_pull::<Label, Select2ndMin>(self.a, &ws.pull, &ws.unvisited, &mut ws.pull_buf);
+        ws.pull_buf.entries().to_vec()
     }
 
-    fn set_dense(&mut self, which: DenseTarget, x: &SparseVec<Label>) {
-        // Only the active prefix of the warm (possibly longer) buffer; the
-        // unvisited bitmap shadows every write.
-        let ws = &mut self.ws;
-        let (dense, bits) = match which {
-            DenseTarget::Order => (&mut ws.order[..self.n], &mut ws.unvisited_order),
-            DenseTarget::Levels => (&mut ws.levels[..self.n], &mut ws.unvisited_levels),
-        };
-        dense_set(dense, x);
-        for &(v, value) in x.entries() {
-            if value == UNVISITED {
-                bits.insert(v);
-            } else {
-                bits.remove(v);
-            }
+    fn set_dense(&mut self, which: DenseTarget, x: &Self::Frontier) {
+        for &(v, value) in x {
+            self.set_dense_at(which, v, value);
         }
     }
 
     fn set_dense_at(&mut self, which: DenseTarget, v: Vidx, value: Label) {
         let ws = &mut self.ws;
-        let (dense, bits) = match which {
-            DenseTarget::Order => (&mut ws.order, &mut ws.unvisited_order),
-            DenseTarget::Levels => (&mut ws.levels, &mut ws.unvisited_levels),
-        };
-        dense[v as usize] = value;
-        if value == UNVISITED {
-            bits.insert(v);
-        } else {
-            bits.remove(v);
+        match which {
+            DenseTarget::Order => ws.order[v as usize] = value,
+            DenseTarget::Levels => {
+                ws.levels[v as usize] = value;
+                ws.touched.push(v);
+            }
         }
+        ws.unvisited.remove(v);
     }
 
-    fn gather_values(&mut self, x: &mut SparseVec<Label>, which: DenseTarget) {
-        match which {
-            DenseTarget::Order => x.gather_from_dense(&self.ws.order[..self.n]),
-            DenseTarget::Levels => x.gather_from_dense(&self.ws.levels[..self.n]),
+    fn gather_values(&mut self, x: &mut Self::Frontier, which: DenseTarget) {
+        let dense = self.dense(which);
+        for (v, value) in x.iter_mut() {
+            *value = dense[*v as usize];
         }
     }
 
     fn reset_levels(&mut self) {
-        self.ws.levels[..self.n].fill(UNVISITED);
-        self.ws.unvisited_levels.reset_ones(self.n);
+        let ws = &mut self.ws;
+        for &v in &ws.touched {
+            ws.levels[v as usize] = UNVISITED;
+            if ws.order[v as usize] == UNVISITED {
+                ws.unvisited.insert(v);
+            }
+        }
+        ws.touched.clear();
+    }
+
+    fn end_peripheral_search(&mut self) {
+        // The sweep's marks cleared bits the ordering pass and the next
+        // reseed read — roll them back.
+        self.reset_levels();
     }
 
     fn sortperm(
         &mut self,
-        x: &SparseVec<Label>,
+        x: &Self::Frontier,
         batch: (Label, Label),
         nv: Label,
-    ) -> (SparseVec<Label>, usize) {
+    ) -> (Self::Frontier, usize) {
         // Parent labels fall in the previous level's half-open `batch`
         // range, so a two-pass counting sort keyed on the label replaces
         // the full (value, degree, vertex) tuple sort — bit-identical
         // because the per-bucket (degree, vertex) sort is the same
         // tie-break over unique vertex ids.
         let ws = &mut self.ws;
-        let sorted = counting_sortperm(x.entries(), batch, &ws.degrees, &mut ws.sort_scratch);
-        let count = sorted.len();
-        let labeled: Vec<(Vidx, Label)> = sorted
-            .iter()
-            .enumerate()
-            .map(|(k, &(_, v))| (v, nv + k as Label))
-            .collect();
-        (SparseVec::from_entries(self.n, labeled), count)
+        let sorted = counting_sortperm(x, batch, &ws.degrees, &mut ws.sort_scratch);
+        let labeled: Self::Frontier = sorted.iter().zip(nv..).map(|(&(_, v), l)| (v, l)).collect();
+        let count = labeled.len();
+        (labeled, count)
     }
 
-    fn argmin_degree(&mut self, x: &SparseVec<Label>) -> Option<Vidx> {
-        x.ind().min_by_key(|&w| (self.ws.degrees[w as usize], w))
+    fn argmin_degree(&mut self, x: &Self::Frontier) -> Option<Vidx> {
+        x.iter()
+            .map(|&(v, _)| v)
+            .min_by_key(|&w| (self.ws.degrees[w as usize], w))
     }
 
     fn find_unvisited_min_degree(&mut self) -> Option<Vidx> {
@@ -327,7 +425,7 @@ impl RcmRuntime for SerialBackend<'_> {
         // fully visited 64-vertex words cost one compare each, and the
         // ascending-index iteration keeps the tie-break identical.
         self.ws
-            .unvisited_order
+            .unvisited
             .ones()
             .min_by_key(|&v| (self.ws.degrees[v as usize], v))
     }

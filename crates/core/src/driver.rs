@@ -37,11 +37,11 @@
 //!
 //! | | **push** (top-down) | **pull** (bottom-up) |
 //! |---|---|---|
-//! | frontier rep | sorted sparse `(vertex, value)` list | dense label array / SPA bitmap |
+//! | frontier rep | sparse `(vertex, value)` list | dense label array / SPA bitmap |
 //! | kernel | SpMSpV over the frontier's columns + `SELECT` | masked row-scan over the unvisited rows ([`RcmRuntime::expand_pull`]) |
 //! | edges touched | `Σ deg(frontier)` | `Σ deg(unvisited)` |
 //! | distributed comm | sparse gather/reduce ∝ `nnz(f)` | dense allgather/reduce `Θ(n/√p′)` |
-//! | serial kernel | [`rcm_sparse::spmspv()`] | [`rcm_sparse::spmspv_pull()`] |
+//! | serial kernel | parents in value order, first-touch claims on the unvisited bitmap (`SELECT` fused) | [`rcm_sparse::spmspv_pull()`] |
 //! | pooled kernel | chunk-claimed expansion + atomic `fetch_min` dedup | chunk-claimed row-scan, no atomics (each row computed once) |
 //! | dist kernel | [`rcm_dist::dist_spmspv`] | [`rcm_dist::dist_spmspv_pull`] |
 //!
@@ -523,9 +523,10 @@ pub struct DriverStats {
 /// produces ([`crate::backends::SerialBackend`]); how it executes —
 /// serially, on a work-stealing pool, or on a simulated process grid — is
 /// the backend's business. Backends are free to fuse work across
-/// primitives (the pooled backend's SpMSpV already filters visited
-/// vertices and pre-sorts its output), as long as each call site still
-/// observes its specified result.
+/// primitives, as long as each call site still observes its specified
+/// result: both native backends fuse `SELECT` into their SpMSpV, which
+/// returns only unvisited vertices, each with its exact `(select2nd, min)`
+/// value. The reference for `SPMSPV` alone is [`rcm_sparse::spmspv_ref`].
 /// See [`crate::driver`]'s module docs for a worked example, and the
 /// README's "adding a backend" walk-through.
 pub trait RcmRuntime {
@@ -567,7 +568,7 @@ pub trait RcmRuntime {
     ///
     /// Pull pays off by avoiding frontier-proportional *communication*
     /// (distributed backends) or per-edge *atomics* (parallel shared
-    /// memory); a sequential SPA push has neither cost, and the
+    /// memory); a sequential push has neither cost, and the
     /// `(select2nd, min)` semiring forbids Beamer's early exit, so the
     /// serial reference returns `false` (and the pooled backend does when
     /// running single-threaded).
@@ -623,8 +624,8 @@ pub trait RcmRuntime {
     fn reset_levels(&mut self);
 
     /// Called when a pseudo-peripheral search finishes. Backends whose BFS
-    /// marks share state with the ordering pass (the pooled backend's
-    /// `visited` array) roll them back here; backends with a dedicated
+    /// marks share state with the ordering pass (the native backends'
+    /// unvisited bitmap) roll them back here; backends with a dedicated
     /// level vector need do nothing — the next search resets it, and the
     /// ordering pass never reads `L`.
     fn end_peripheral_search(&mut self) {}

@@ -322,8 +322,9 @@ impl PoolShared {
 
 /// The dense companions and scratch of [`crate::backends::PooledBackend`],
 /// owned by the pool so they stay warm across orderings: the ordering
-/// vector `R`, the BFS level vector `L`, the level-mark undo list, and the
-/// candidate buffer the backend's frontier conversions reuse.
+/// vector `R`, the BFS level vector `L`, the level-mark undo list, the
+/// candidate buffer the backend's frontier conversions reuse, and the
+/// reseed cursor over the vertices in `(degree, vertex)` order.
 #[derive(Default)]
 pub struct PooledWorkspace {
     pub(crate) order: Vec<Label>,
@@ -331,15 +332,28 @@ pub struct PooledWorkspace {
     pub(crate) touched: Vec<Vidx>,
     pub(crate) cands: Vec<Candidate>,
     pub(crate) sort_scratch: rcm_sparse::SortpermScratch,
+    /// Every vertex in ascending `(degree, vertex)` order.
+    pub(crate) by_degree: Vec<Vidx>,
+    /// Per-degree bucket offsets of the counting sort behind `by_degree`.
+    degree_offsets: Vec<usize>,
+    /// The reseed cursor: `by_degree[..cursor]` is labeled.
+    pub(crate) cursor: usize,
+    /// Vertices the reseed scans passed over in the current ordering — at
+    /// most `n` with the cursor.
+    pub(crate) reseed_steps: usize,
 }
 
 impl PooledWorkspace {
-    /// Bind an `n`-vertex matrix: reset the active prefix of both dense
-    /// companions to unvisited (grow-only — installing a matrix no larger
-    /// than any seen before allocates nothing). Returns whether any buffer
-    /// had to grow.
-    fn install(&mut self, n: usize) -> bool {
-        let grew = self.order.capacity() < n;
+    /// Bind an `n`-vertex matrix with these degrees: reset the active
+    /// prefix of both dense companions to unvisited, sort the vertices by
+    /// `(degree, vertex)` for the reseed cursor (grow-only — installing a
+    /// matrix no larger than any seen before allocates nothing). Returns
+    /// whether any buffer had to grow.
+    fn install(&mut self, degrees: &[Vidx]) -> bool {
+        let n = degrees.len();
+        let grew = self.order.capacity() < n
+            || self.by_degree.capacity() < n
+            || self.degree_offsets.capacity() < n + 1;
         if self.order.len() < n {
             self.order.resize(n, UNVISITED);
             self.levels.resize(n, UNVISITED);
@@ -347,6 +361,28 @@ impl PooledWorkspace {
         self.order[..n].fill(UNVISITED);
         self.levels[..n].fill(UNVISITED);
         self.touched.clear();
+        // Counting sort on degree: a scatter in ascending vertex order
+        // leaves every degree bucket sorted by vertex. The offsets are
+        // pre-grown to their n-bounded ceiling (a degree is below n) so
+        // growth stays monotone in the matrix size.
+        let offs = &mut self.degree_offsets;
+        offs.reserve((n + 1).saturating_sub(offs.len()));
+        offs.clear();
+        offs.resize(degrees.iter().max().map_or(0, |&d| d as usize + 2), 0);
+        for &d in degrees {
+            offs[d as usize + 1] += 1;
+        }
+        for k in 1..offs.len() {
+            offs[k] += offs[k - 1];
+        }
+        self.by_degree.clear();
+        self.by_degree.resize(n, 0);
+        for (v, &d) in degrees.iter().enumerate() {
+            self.by_degree[offs[d as usize]] = v as Vidx;
+            offs[d as usize] += 1;
+        }
+        self.cursor = 0;
+        self.reseed_steps = 0;
         grew
     }
 }
@@ -446,7 +482,8 @@ impl RcmPool {
     /// Bind an `n`-vertex matrix to the shared arenas: grow-only resize,
     /// prefix reset. The claim array is *not* cleared — claim epochs are
     /// monotone, so stale claims can never match or win again.
-    fn install(&mut self, n: usize) {
+    fn install(&mut self, n: usize, degrees: &[Vidx]) {
+        debug_assert_eq!(degrees.len(), n, "one degree per vertex");
         let mut grew = false;
         grew |= self.shared.unvisited.write().unwrap().reset_ones(n);
         self.shared.frontier.write().unwrap().clear();
@@ -463,7 +500,7 @@ impl RcmPool {
                 best.resize_with(n, || AtomicU64::new(u64::MAX));
             }
         }
-        grew |= self.backend_ws.install(n);
+        grew |= self.backend_ws.install(degrees);
         if grew {
             self.growth_events += 1;
         }
@@ -480,7 +517,7 @@ impl RcmPool {
         degrees: &[Vidx],
         driver: impl FnOnce(&mut LevelExecutor<'_>, &mut PooledWorkspace) -> R,
     ) -> R {
-        self.install(a.n_rows());
+        self.install(a.n_rows(), degrees);
         self.shared.job.lock().unwrap().a = a;
         let result = {
             let mut exec = LevelExecutor {
@@ -1382,6 +1419,37 @@ mod tests {
         let (p, stats, _) = pooled_rcm(&a, &mut RcmPool::new(PoolConfig::new(2)));
         assert_eq!(p.len(), 6);
         assert_eq!(stats.components, 4);
+    }
+
+    /// `k` disjoint edges over `2k` vertices scrambled by an affine map:
+    /// `k` two-vertex components.
+    fn scrambled_pairs(k: usize) -> CscMatrix {
+        let n = 2 * k;
+        let perm = |i: usize| ((i * 7919) % n) as Vidx;
+        let mut b = CooBuilder::new(n, n);
+        for i in 0..k {
+            b.push_sym(perm(2 * i), perm(2 * i + 1));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn reseed_cursor_passes_each_vertex_once() {
+        // 5·10⁴ components: a reseed scan over all n vertices per
+        // component would step 5·10⁹ times.
+        let a = scrambled_pairs(50_000);
+        let mut pool = RcmPool::new(PoolConfig::new(2));
+        let (_, stats, _) = pool.order_cm(&a, ExpandDirection::Push, &StartNode::GeorgeLiu);
+        assert_eq!(stats.components, 50_000);
+        assert!(
+            pool.backend_ws.reseed_steps <= a.n_rows(),
+            "reseed stepped {} times over {} vertices",
+            pool.backend_ws.reseed_steps,
+            a.n_rows()
+        );
+        let a = scrambled_pairs(10_000);
+        let (cm, _, _) = pool.order_cm(&a, ExpandDirection::Push, &StartNode::GeorgeLiu);
+        assert_eq!(cm.reversed(), crate::rcm(&a));
     }
 
     #[test]
