@@ -72,7 +72,7 @@ fn bench_spmspv_pull(c: &mut Criterion) {
             |b, (x, cands)| {
                 let mut buf = PullBuffer::new();
                 b.iter(|| {
-                    spmspv_pull::<i64, Select2ndMin>(&a, x, cands, &mut buf);
+                    spmspv_pull::<i64, Select2ndMin>(&a, x, cands, None, &mut buf);
                     std::hint::black_box(buf.entries().len())
                 });
             },

@@ -1516,7 +1516,7 @@ pub fn kernel_measurements(cfg: &ExpConfig) -> Vec<KernelRow> {
         let (push_out, push_work) = spmspv::<Label, Select2ndMin>(&a, &st.frontier, &mut spa);
         let push_selected = push_out.select(&st.order, |l| l == UNVISITED);
         let pull_work =
-            spmspv_pull::<Label, Select2ndMin>(&a, &dense, &st.unvisited, &mut pull_buf);
+            spmspv_pull::<Label, Select2ndMin>(&a, &dense, &st.unvisited, None, &mut pull_buf);
         let (old_out, old_work) = spmspv_pull_ref::<Label, Select2ndMin>(&a, &dense, |r| {
             st.order[r as usize] == UNVISITED
         });
@@ -1539,7 +1539,7 @@ pub fn kernel_measurements(cfg: &ExpConfig) -> Vec<KernelRow> {
             spmspv::<Label, Select2ndMin>(&a, &st.frontier, &mut spa);
         });
         let pull_secs = best_secs(reps, edge_inner, || {
-            spmspv_pull::<Label, Select2ndMin>(&a, &dense, &st.unvisited, &mut pull_buf);
+            spmspv_pull::<Label, Select2ndMin>(&a, &dense, &st.unvisited, None, &mut pull_buf);
         });
         let old_pull_secs = best_secs(reps, edge_inner, || {
             spmspv_pull_ref::<Label, Select2ndMin>(&a, &dense, |r| {

@@ -2,7 +2,7 @@
 //!
 //! | backend | Table-I primitives supplied by | cost accounting |
 //! |---|---|---|
-//! | [`SerialBackend`] | one core: a claiming SpMSpV fused with `SELECT`, the counting `SORTPERM` | none |
+//! | [`SerialBackend`] | one core: a claiming SpMSpV fused with `SELECT`, a pull that stops each row at the frontier's minimum, the counting `SORTPERM` | none |
 //! | [`PooledBackend`] | the work-stealing pool of [`crate::pool`] | none |
 //! | [`DistBackend`] | `rcm-dist` distributed primitives | [`rcm_dist::SimClock`] (flat MPI) |
 //! | [`HybridBackend`] | [`DistBackend`] | compute divided by [`rcm_dist::MachineModel::thread_speedup`] |

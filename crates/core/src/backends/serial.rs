@@ -31,7 +31,16 @@
 //!   clears the bit and returns the neighbour with the parent's value. The
 //!   first toucher holds the smallest value, so each returned row carries
 //!   its exact `(select2nd, min)` value; visited neighbours are never
-//!   returned. The work count stays `Σ deg(frontier)`.
+//!   returned. The work count stays `Σ deg(frontier)`. It prefetches the
+//!   column of the parent a few places ahead, because on shuffled inputs
+//!   each column is a cache miss.
+//! * [`RcmRuntime::expand_pull`] scans the unvisited rows against the
+//!   dense frontier and stops a row at a neighbour holding the frontier's
+//!   minimum, which no other neighbour can undercut (Beamer's early exit,
+//!   [`rcm_sparse::spmspv_pull`]'s stop value). On a sweep's uniform
+//!   frontier that is the row's first frontier neighbour, so
+//!   [`RcmRuntime::pull_profitable`] is `true` and the driver's thresholds
+//!   pull wide levels. The work count is the edges scanned.
 //! * [`RcmRuntime::select_unvisited`] still filters against the dense
 //!   companion, so each call site observes its specified result. The
 //!   reference for `SPMSPV` alone is [`rcm_sparse::spmspv_ref`].
@@ -175,6 +184,64 @@ impl SerialWorkspace {
     }
 }
 
+/// How many parents ahead of the one being claimed [`RcmRuntime::spmspv`]
+/// prefetches a column (and twice as far ahead, the column's bounds). On
+/// shuffled inputs every parent's column is a cache miss, and one parent's
+/// claim loop is too long for the core to run ahead into the next parent
+/// on its own.
+const PREFETCH_AHEAD: usize = 4;
+
+/// Ask the cache for the line holding `p`; off x86_64 it does nothing.
+#[inline(always)]
+fn prefetch<T>(p: &T) {
+    // SAFETY: a prefetch is a hint that never dereferences and cannot
+    // fault.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((p as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
+/// Claim for parents `parent(0)`, `parent(1)`, … `parent(len - 1)`, in
+/// that order, each a `(vertex, value)` pair. Returns the edges scanned.
+///
+/// Prefetching runs in two stages: the column bounds of the parent
+/// `2 · PREFETCH_AHEAD` places ahead, so that finding the column of the
+/// parent [`PREFETCH_AHEAD`] places ahead does not miss, and that column's
+/// first lines: one 64-byte line of 16 row indices, a second past 16
+/// entries, a third past 32. Claims, values and the work count do not
+/// depend on it.
+fn claim_all(
+    a: &CscMatrix,
+    unvisited: &mut VertexBitmap,
+    len: usize,
+    parent: impl Fn(usize) -> (Vidx, Label),
+    out: &mut Vec<(Vidx, Label)>,
+) -> usize {
+    let mut work = 0;
+    for i in 0..len {
+        if i + 2 * PREFETCH_AHEAD < len {
+            prefetch(&a.col_ptr()[parent(i + 2 * PREFETCH_AHEAD).0 as usize]);
+        }
+        if i + PREFETCH_AHEAD < len {
+            let col = a.col(parent(i + PREFETCH_AHEAD).0 as usize);
+            col.iter().step_by(16).take(3).for_each(prefetch);
+        }
+        let (v, value) = parent(i);
+        work += claim(a, unvisited, v, value, out);
+    }
+    work
+}
+
+/// The smallest and largest value in `x`, or `None` when it is empty.
+fn value_range(x: &[(Vidx, Label)]) -> Option<(Label, Label)> {
+    let values = x.iter().map(|&(_, value)| value);
+    Some((values.clone().min()?, values.max()?))
+}
+
 /// Claim every neighbour of `v` whose bit is still set for `value`: emit
 /// the neighbour and clear its bit. Returns the edges scanned.
 #[inline]
@@ -281,11 +348,12 @@ impl RcmRuntime for SerialBackend<'_> {
     }
 
     fn pull_profitable(&self) -> bool {
-        // One core, no communication, no atomics: the claiming push is
-        // already optimal and min-label pull cannot early-exit, so the
-        // adaptive policy stays push-only here (forced pull still works and
-        // is what the equivalence suite sweeps).
-        false
+        // The pull stops each row at its first frontier neighbour on a
+        // sweep's uniform frontier (Beamer's early exit), so on a wide
+        // level it reads fewer edges than the claiming push, which scans
+        // every frontier column in full. The driver's thresholds decide
+        // per level.
+        true
     }
 
     fn append(&mut self, acc: &mut Self::Frontier, x: &Self::Frontier) {
@@ -303,29 +371,22 @@ impl RcmRuntime for SerialBackend<'_> {
         // carries the minimum: a uniform frontier (sweeps, level stamps)
         // as it is, consecutive labels (the ordering pass) placed by
         // `label - min`, anything else sorted by value.
-        let (lo, hi) = x
-            .iter()
-            .fold((Label::MAX, Label::MIN), |(lo, hi), &(_, value)| {
-                (lo.min(value), hi.max(value))
-            });
+        let Some((lo, hi)) = value_range(x) else {
+            return Vec::new();
+        };
         let (a, ws) = (self.a, &mut self.ws);
         let mut out = Vec::new();
-        let mut work = 0;
-        if lo == hi || x.is_empty() {
-            for &(v, _) in x {
-                work += claim(a, &mut ws.unvisited, v, lo, &mut out);
-            }
+        let work = if lo == hi {
+            claim_all(a, &mut ws.unvisited, x.len(), |i| (x[i].0, lo), &mut out)
         } else if ws.place_consecutive(x, lo, hi) {
-            for (&v, value) in ws.parents.iter().zip(lo..) {
-                work += claim(a, &mut ws.unvisited, v, value, &mut out);
-            }
+            let parents = &ws.parents;
+            let parent = |i: usize| (parents[i], lo + i as Label);
+            claim_all(a, &mut ws.unvisited, parents.len(), parent, &mut out)
         } else {
             let mut sorted = x.clone();
             sorted.sort_unstable_by_key(|&(v, value)| (value, v));
-            for &(v, value) in &sorted {
-                work += claim(a, &mut ws.unvisited, v, value, &mut out);
-            }
-        }
+            claim_all(a, &mut ws.unvisited, sorted.len(), |i| sorted[i], &mut out)
+        };
         self.spmspv_work += work;
         out
     }
@@ -343,14 +404,21 @@ impl RcmRuntime for SerialBackend<'_> {
         // bitmap-masked row-scan kernel over the unvisited rows (all-visited
         // words cost one compare each) into the warm output buffer. The one
         // bitmap is exact for either companion: a sweep's frontier reaches
-        // only its own, still unlabeled, component.
+        // only its own, still unlabeled, component. A row stops at a
+        // neighbour holding the frontier's minimum (the contract note).
+        let stop = value_range(x).map(|(lo, _)| lo);
         let ws = &mut self.ws;
         ws.pull.clear();
         for &(v, value) in x {
             ws.pull.insert(v, value);
         }
-        self.spmspv_work +=
-            spmspv_pull::<Label, Select2ndMin>(self.a, &ws.pull, &ws.unvisited, &mut ws.pull_buf);
+        self.spmspv_work += spmspv_pull::<Label, Select2ndMin>(
+            self.a,
+            &ws.pull,
+            &ws.unvisited,
+            stop,
+            &mut ws.pull_buf,
+        );
         ws.pull_buf.entries().to_vec()
     }
 
@@ -493,6 +561,28 @@ mod tests {
         let a = scrambled_path(60, 17);
         let (p, _) = serial_driver_rcm(&a);
         assert_eq!(matrix_bandwidth(&a.permute_sym(&p)), 1);
+    }
+
+    #[test]
+    fn adaptive_pull_stops_early_and_matches_push() {
+        // Wide middle levels (2000 vertices, average degree 62): the
+        // adaptive policy pulls there, and a sweep's pull stops each row at
+        // its first frontier neighbour, where the push scans every frontier
+        // column in full.
+        let a = rcm_graphgen::erdos_renyi_connected(2000, 60_000, 3);
+        let order =
+            |direction| SerialWorkspace::new().order_cm(&a, direction, &StartNode::GeorgeLiu);
+        let (push_cm, push) = order(ExpandDirection::Push);
+        let (cm, adaptive) = order(ExpandDirection::Adaptive);
+        assert!(adaptive.pull_expands > 0, "adaptive never pulled");
+        assert!(
+            2 * adaptive.spmspv_work < push.spmspv_work,
+            "adaptive read {} edges, push {}",
+            adaptive.spmspv_work,
+            push.spmspv_work
+        );
+        assert_eq!(cm, push_cm);
+        assert_eq!(cm.reversed(), rcm(&a));
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! | kernel | SpMSpV over the frontier's columns + `SELECT` | masked row-scan over the unvisited rows ([`RcmRuntime::expand_pull`]) |
 //! | edges touched | `Σ deg(frontier)` | `Σ deg(unvisited)` |
 //! | distributed comm | sparse gather/reduce ∝ `nnz(f)` | dense allgather/reduce `Θ(n/√p′)` |
-//! | serial kernel | parents in value order, first-touch claims on the unvisited bitmap (`SELECT` fused) | [`rcm_sparse::spmspv_pull()`] |
+//! | serial kernel | parents in value order, columns prefetched, first-touch claims on the unvisited bitmap (`SELECT` fused) | [`rcm_sparse::spmspv_pull()`], each row stopped at the frontier's minimum |
 //! | pooled kernel | chunk-claimed expansion + atomic `fetch_min` dedup | chunk-claimed row-scan, no atomics (each row computed once) |
 //! | dist kernel | [`rcm_dist::dist_spmspv`] | [`rcm_dist::dist_spmspv_pull`] |
 //!
@@ -53,10 +53,14 @@
 //! [`PULL_BETA`]` · nnz(frontier) ≥ n` (the dense representation's Θ(n)
 //! scan/allgather is amortized); it **pushes** otherwise. Backends gate
 //! the adaptive policy through [`RcmRuntime::pull_profitable`]: pull's
-//! payoff is avoiding frontier-proportional communication (dist/hybrid)
-//! or per-edge atomics (the pool with >1 worker), so the sequential
-//! reference — where neither cost exists and min-label forbids Beamer's
-//! early exit — keeps its adaptive runs push-only. Both directions
+//! payoff is avoiding frontier-proportional communication (dist/hybrid),
+//! per-edge atomics (the pool with >1 worker), or edges (serial). The
+//! serial pull stops a row at a neighbour holding the frontier's minimum,
+//! Beamer's early exit: exact under `(select2nd, min)`, because no value
+//! undercuts the minimum, and on a sweep, whose frontier carries one
+//! level value, it stops at the row's first frontier neighbour. Only the
+//! single-threaded pool, which has neither atomics to skip nor an early
+//! exit, keeps its adaptive runs push-only. Both directions
 //! compute the identical `(select2nd, min)` result — forced modes
 //! (`RCM_DIRECTION=push|pull|adaptive|alternate`, or the `policy` argument
 //! of [`drive_cm_with`] / `EngineConfig::direction` /
@@ -567,11 +571,12 @@ pub trait RcmRuntime {
     /// pulling when this is `true`. Forced modes ignore it.
     ///
     /// Pull pays off by avoiding frontier-proportional *communication*
-    /// (distributed backends) or per-edge *atomics* (parallel shared
-    /// memory); a sequential push has neither cost, and the
-    /// `(select2nd, min)` semiring forbids Beamer's early exit, so the
-    /// serial reference returns `false` (and the pooled backend does when
-    /// running single-threaded).
+    /// (distributed backends), per-edge *atomics* (parallel shared memory)
+    /// or *edges*: the serial pull stops each row at a neighbour holding
+    /// the frontier's minimum (Beamer's early exit, exact under
+    /// `(select2nd, min)`), which on a sweep's uniform frontier is the
+    /// row's first frontier neighbour. The pooled backend running
+    /// single-threaded has none of these and returns `false`.
     fn pull_profitable(&self) -> bool {
         true
     }

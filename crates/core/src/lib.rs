@@ -85,17 +85,19 @@ use rcm_sparse::{CscMatrix, Permutation};
 /// single-machine use): [`cuthill_mckee`], reversed.
 ///
 /// This stays the classical Algorithm 1 loop on purpose, not a call into
-/// [`OrderingEngine`], for two reasons:
+/// [`OrderingEngine`]:
 ///
 /// * It is the independent oracle the cross-backend suites and the
 ///   repository benchmark's checker compare the engine against; routing it
 ///   through the engine would make those checks compare the engine with
 ///   itself.
-/// * It is faster: one fused per-parent loop, where the generic driver runs
-///   SpMSpV, `SELECT` and `SORTPERM` as separate passes. Against a warm
-///   serial engine on the repository benchmark's shapes (2-vCPU AMD EPYC)
-///   it measured about 2.8× faster on the mesh and KKT inputs, 1.4–1.7× on
-///   the dense one and about even on a 1600-tree forest.
+/// * Speed no longer argues for it. A warm serial engine on the repository
+///   benchmark's shapes (2-vCPU AMD EPYC, medians of 11 orderings, five
+///   runs) takes 0.8–0.9× this loop's time on the mesh, 0.5× on the dense
+///   shape, whose wide levels it pulls with an early exit, 0.6× on a
+///   1600-tree forest, and 1.2× on the KKT shape, whose thin levels leave
+///   the generic driver's separate `SELECT`, `SET` and `SORTPERM` passes
+///   in view.
 pub fn rcm(a: &CscMatrix) -> Permutation {
     cuthill_mckee(a).0.reversed()
 }

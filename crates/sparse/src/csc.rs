@@ -339,8 +339,9 @@ impl CscMatrix {
     /// that cannot tolerate a ~2⁻⁶⁴ collision must confirm a hash hit with
     /// a full pattern comparison (`==` — the service cache does).
     pub fn pattern_fingerprint(&self) -> u64 {
-        // SplitMix64-style avalanche per word: cheap, high-quality, and
-        // stable — the same mixer the offline rand shim seeds with.
+        // SplitMix64-style avalanche for the dimensions and the finish:
+        // cheap, high-quality, and stable — the same mixer the offline
+        // rand shim seeds with.
         #[inline]
         fn mix(h: u64, w: u64) -> u64 {
             let mut z = (h ^ w).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -348,16 +349,32 @@ impl CscMatrix {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         }
+        // The O(n + nnz) body costs one multiply per word (the FxHash
+        // step), so a cache hit stays far cheaper than the ordering it
+        // saves. For a fixed word the step is a bijection of the state, and
+        // for a fixed state a bijection of the word, so two patterns that
+        // differ in a single word never collide; the final `mix` spreads
+        // the state over all 64 bits.
+        #[inline]
+        fn fold(h: u64, w: u64) -> u64 {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x517C_C1B7_2722_0A95)
+        }
         let mut h = mix(0x243F_6A88_85A3_08D3, self.n_rows as u64);
         h = mix(h, self.n_cols as u64);
         // col_ptr fixes the per-column layout; row_idx pairs are packed two
-        // per word so the dominant O(nnz) pass mixes half as often.
+        // per word so the dominant O(nnz) pass folds half as often.
         for &p in &self.col_ptr {
-            h = mix(h, p as u64);
+            h = fold(h, p as u64);
         }
-        for pair in self.row_idx.chunks(2) {
-            let w = (pair[0] as u64) << 32 | pair.get(1).copied().unwrap_or(0) as u64;
-            h = mix(h, w);
+        // A slice pattern, not `chunks`: unoptimized (test) builds pay for
+        // every iterator call, and this loop is what a cache hit costs.
+        let mut rest = &self.row_idx[..];
+        while let [r0, r1, tail @ ..] = rest {
+            h = fold(h, (*r0 as u64) << 32 | *r1 as u64);
+            rest = tail;
+        }
+        if let [r] = rest {
+            h = fold(h, (*r as u64) << 32);
         }
         // Length-extension guard: [r] vs [r, 0] pack to the same word.
         mix(h, self.row_idx.len() as u64)

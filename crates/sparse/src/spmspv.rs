@@ -12,8 +12,10 @@
 //! frontier ([`DenseFrontier`]). Complexity is proportional to the
 //! *candidates'* edges, independent of frontier size — cheaper than push
 //! exactly when the frontier is a large fraction of the unvisited vertices.
-//! For a symmetric `A` the two directions produce bit-identical results
-//! (row `r`'s in-neighbours are its out-neighbours).
+//! An optional stop value ends a row's scan once nothing can change its
+//! result (Beamer's early exit). For a symmetric `A` the two directions
+//! produce bit-identical results (row `r`'s in-neighbours are its
+//! out-neighbours).
 //!
 //! The push implementation uses a *sparse accumulator* (SPA): a dense value
 //! scratchpad plus a stamp array, reusable across calls via
@@ -203,17 +205,25 @@ impl<T: Copy> PullBuffer<T> {
 /// `Option` in the inner loop). Results land in `buf` (cleared first);
 /// nothing is allocated once `buf` is at its high-water capacity.
 ///
-/// Returns the number of traversed matrix nonzeros — only the edges of
-/// rows the scan actually visited, which is what `DriverStats` and the
-/// simulator should charge for this kernel.
+/// `stop` is Beamer's early exit: a row stops scanning as soon as its
+/// accumulator equals `stop`. That is exact only when no further frontier
+/// neighbour can change an accumulator holding `stop` — for
+/// `(select2nd, min)`, `stop` must be the smallest value stored in `x`
+/// (on a uniform frontier a row then stops at its first frontier
+/// neighbour). `None` scans every candidate row to its end.
+///
+/// Returns the number of traversed matrix nonzeros — only the edges the
+/// scan actually read (candidate rows, each up to its stop), which is what
+/// `DriverStats` and the simulator should charge for this kernel.
 pub fn spmspv_pull<T, S>(
     a: &CscMatrix,
     x: &DenseFrontier<T>,
     candidates: &VertexBitmap,
+    stop: Option<T>,
     buf: &mut PullBuffer<T>,
 ) -> usize
 where
-    T: Copy + Default,
+    T: Copy + Default + PartialEq,
     S: Semiring<T>,
 {
     let n = a.n_rows();
@@ -237,6 +247,8 @@ where
     let cap_before = buf.entries.capacity();
     buf.entries.clear();
     let mut work = 0usize;
+    // Without a stop value a found neighbour costs one bool test more.
+    let (stops, stop) = (stop.is_some(), stop.unwrap_or_default());
     let words = candidates.words();
     for (wi, &word) in words.iter().enumerate().take(n.div_ceil(64)) {
         let mut bits = word;
@@ -248,15 +260,22 @@ where
             let r = wi * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
             let col = a.col(r);
-            work += col.len();
             let mut acc = S::identity();
             let mut found = false;
-            for &w in col {
-                if let Some(xv) = x.get(w) {
+            // What is left of `rest` when a row stops is what it did not
+            // read.
+            let mut rest = col;
+            while let [w, tail @ ..] = rest {
+                rest = tail;
+                if let Some(xv) = x.get(*w) {
                     acc = S::add(acc, S::multiply(xv));
                     found = true;
+                    if stops && acc == stop {
+                        break;
+                    }
                 }
             }
+            work += col.len() - rest.len();
             if found {
                 buf.entries.push((r as Vidx, acc));
             }
@@ -454,7 +473,7 @@ mod tests {
         dense.load(&x);
         let cands = bitmap_where(8, |r| !visited[r as usize]);
         let mut buf = PullBuffer::new();
-        let work = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, &mut buf);
+        let work = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, None, &mut buf);
         assert_eq!(buf.to_sparse(8), expect);
         // Work = Σ deg over candidate rows c, f, g, h = 3 + 2 + 2 + 1.
         assert_eq!(work, 8);
@@ -478,11 +497,41 @@ mod tests {
             let keep = |r: Vidx| mask_bits & (1 << r) != 0;
             let expect = push.select(&[0u8, 1, 2, 3, 4, 5, 6, 7], |i| keep(i as Vidx));
             let cands = bitmap_where(8, keep);
-            spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, &mut buf);
+            spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, None, &mut buf);
             assert_eq!(buf.to_sparse(8), expect, "mask {mask_bits:#b} diverged");
             let (pull_ref, _) = spmspv_pull_ref::<i64, Select2ndMin>(&a, &dense, keep);
             assert_eq!(pull_ref, expect, "mask {mask_bits:#b} diverged (ref)");
         }
+    }
+
+    #[test]
+    fn pull_stop_value_keeps_the_output_and_cuts_uniform_work() {
+        // The frontier's minimum as the stop value, on a uniform frontier
+        // {b, e} = 5 and on consecutive labels {e = 2, b = 3}, under every
+        // candidate mask: the same rows and values as the full scan.
+        let a = figure2_matrix();
+        let mut dense = DenseFrontier::new(8);
+        let mut buf = PullBuffer::new();
+        for (entries, min) in [(vec![(1, 5i64), (4, 5)], 5), (vec![(4, 2i64), (1, 3)], 2)] {
+            dense.load(&SparseVec::from_entries(8, entries));
+            for mask_bits in 0u16..256 {
+                let cands = bitmap_where(8, |r| mask_bits & (1 << r) != 0);
+                let full = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, None, &mut buf);
+                let expect = buf.entries().to_vec();
+                let stopped =
+                    spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, Some(min), &mut buf);
+                assert_eq!(buf.entries(), expect, "stop {min}, mask {mask_bits:#b}");
+                assert!(stopped <= full, "stop {min}, mask {mask_bits:#b}");
+            }
+        }
+        // All rows on the uniform frontier: a, c, d, f stop at b or e,
+        // their first frontier neighbour, so 13 of the 18 edges are read.
+        let mut cands = VertexBitmap::new(8);
+        cands.reset_ones(8);
+        dense.load(&SparseVec::from_entries(8, vec![(1, 5i64), (4, 5)]));
+        let full = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, None, &mut buf);
+        let stopped = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, Some(5), &mut buf);
+        assert_eq!((full, stopped), (18, 13));
     }
 
     #[test]
@@ -492,7 +541,7 @@ mod tests {
         let mut cands = VertexBitmap::new(8);
         cands.reset_ones(8);
         let mut buf = PullBuffer::new();
-        let work = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, &mut buf);
+        let work = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, None, &mut buf);
         assert!(buf.entries().is_empty());
         assert_eq!(work, a.nnz(), "pull pays for every candidate row scanned");
         let (y, work_ref) = spmspv_pull_ref::<i64, Select2ndMin>(&a, &dense, |_| true);
@@ -510,13 +559,13 @@ mod tests {
         // No candidates: nothing scanned, zero work.
         let empty = VertexBitmap::new(8);
         assert_eq!(
-            spmspv_pull::<i64, Select2ndMin>(&a, &dense, &empty, &mut buf),
+            spmspv_pull::<i64, Select2ndMin>(&a, &dense, &empty, None, &mut buf),
             0
         );
         // Candidates {c, f} only: work = deg(c) + deg(f) = 3 + 2, not nnz.
         let cands = bitmap_where(8, |r| r == 2 || r == 5);
         assert_eq!(
-            spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, &mut buf),
+            spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, None, &mut buf),
             5
         );
     }
@@ -536,7 +585,7 @@ mod tests {
         dense.load(&x);
         let cands = bitmap_where(n, |r| r >= 128);
         let mut buf = PullBuffer::new();
-        let work = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, &mut buf);
+        let work = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, None, &mut buf);
         // Scanned rows 128 (deg 2) and 129 (deg 1) only.
         assert_eq!(work, 3);
         assert_eq!(buf.entries(), &[(128, 7)]);
@@ -559,7 +608,7 @@ mod tests {
         let mut dense = DenseFrontier::new(130);
         dense.load(&x);
         let mut buf = PullBuffer::new();
-        let work = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, &mut buf);
+        let work = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, None, &mut buf);
         assert_eq!(work, a.nnz());
         // Only vertex 1 neighbours the frontier {0}; in particular no row
         // past vertex 65 was scanned despite its stale candidate bit.
@@ -575,11 +624,11 @@ mod tests {
         let mut cands = VertexBitmap::new(8);
         cands.reset_ones(8);
         let mut buf = PullBuffer::new();
-        spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, &mut buf);
+        spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, None, &mut buf);
         let warm = buf.growth_events();
         assert!(warm >= 1, "first non-empty output must count a growth");
         for _ in 0..10 {
-            spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, &mut buf);
+            spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, None, &mut buf);
         }
         assert_eq!(
             buf.growth_events(),
