@@ -13,7 +13,7 @@
 //!   fig6       flat MPI vs hybrid breakdown on ldoor
 //!   ablation   sorting-strategy ablation (§VI future work)
 //!   direction  push/pull/adaptive frontier-expansion ablation
-//!   backends   one generic driver on all four RcmRuntime backends
+//!   backends   one generic driver on serial, pooled, flat and hybrid dist
 //!   balance    load-balance permutation ablation (§IV-A)
 //!   throughput warm OrderingEngine vs cold per-call orderings/sec
 //!   service    closed-loop OrderingService: cold vs warm shards vs pattern cache
@@ -123,8 +123,14 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
+                // A positive finite multiplier; anything else would panic
+                // in the generators instead of printing the usage.
                 let v = args.next().unwrap_or_else(|| usage());
-                cfg.scale_mult = v.parse().unwrap_or_else(|_| usage());
+                cfg.scale_mult = v
+                    .parse()
+                    .ok()
+                    .filter(|&x: &f64| x.is_finite() && x > 0.0)
+                    .unwrap_or_else(|| usage());
             }
             "--out" => {
                 cfg.results_dir = args.next().unwrap_or_else(|| usage()).into();

@@ -13,7 +13,7 @@
 //! | [`fig6_flat_vs_hybrid`] | Fig. 6 — flat MPI vs hybrid on ldoor |
 //! | [`ablation_sort_modes`] | §VI — sorting-strategy ablation |
 //! | [`direction_ablation`] | direction-optimizing expand: push / pull / adaptive |
-//! | [`backend_sweep`] | one generic driver on all four `RcmRuntime` backends |
+//! | [`backend_sweep`] | one generic driver on serial, pooled, flat and hybrid dist |
 //! | [`balance_ablation`] | §IV-A — load-balance permutation sweep |
 //! | [`mtx_table`] | real Matrix Market inputs (`repro --mtx`) next to the suite |
 //! | [`throughput_table`] | warm `OrderingEngine` vs cold per-call orderings/sec |
@@ -660,7 +660,7 @@ pub fn direction_ablation(cfg: &ExpConfig) -> Table {
                 times.push(fmt_secs(r.sim_seconds));
                 identical &= r.perm == reference;
                 if d == ExpandDirection::Adaptive {
-                    pull_levels = r.pull_expands;
+                    pull_levels = r.stats.pull_expands;
                 }
             }
             t.row(vec![
@@ -737,8 +737,11 @@ pub fn throughput_measurements(cfg: &ExpConfig) -> Vec<ThroughputRow> {
         let mut four_way_identical = true;
         for check_kind in [
             BackendKind::Pooled { threads: 4 },
-            BackendKind::Dist { cores: 16 },
-            BackendKind::Hybrid {
+            BackendKind::Dist {
+                cores: 16,
+                threads_per_proc: 1,
+            },
+            BackendKind::Dist {
                 cores: 24,
                 threads_per_proc: 6,
             },
@@ -1117,8 +1120,11 @@ pub fn component_measurements(cfg: &ExpConfig) -> Vec<ComponentRow> {
         for kind in [
             BackendKind::Serial,
             BackendKind::Pooled { threads: 4 },
-            BackendKind::Dist { cores: 16 },
-            BackendKind::Hybrid {
+            BackendKind::Dist {
+                cores: 16,
+                threads_per_proc: 1,
+            },
+            BackendKind::Dist {
                 cores: 24,
                 threads_per_proc: 6,
             },
@@ -1279,10 +1285,16 @@ pub fn startnode_measurements(cfg: &ExpConfig) -> Vec<StartNodeRow> {
     let backends: [(&'static str, BackendKind); 4] = [
         ("serial", BackendKind::Serial),
         ("pooled", BackendKind::Pooled { threads: 4 }),
-        ("dist", BackendKind::Dist { cores: 16 }),
+        (
+            "dist",
+            BackendKind::Dist {
+                cores: 16,
+                threads_per_proc: 1,
+            },
+        ),
         (
             "hybrid",
-            BackendKind::Hybrid {
+            BackendKind::Dist {
                 cores: 24,
                 threads_per_proc: 6,
             },
@@ -1838,12 +1850,13 @@ pub fn scaling_summary(panels: &[SweepPanel]) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Backend sweep — one generic driver, four RcmRuntime backends
+// Backend sweep — one generic driver, three RcmRuntime backends
 // ---------------------------------------------------------------------------
 
-/// Run the identical generic driver on all four backends per suite matrix:
-/// serial and pooled report measured wall time, dist (flat MPI) and hybrid
-/// (MPI×OpenMP) report simulated time. The `identical` column asserts the
+/// Run the identical generic driver on four backend configurations per
+/// suite matrix: serial and pooled report measured wall time, dist at one
+/// thread per process (flat MPI) and at six (hybrid MPI×OpenMP) report
+/// simulated time. The `identical` column asserts the
 /// bit-for-bit permutation equality the `RcmRuntime` refactor guarantees.
 pub fn backend_sweep(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
@@ -2149,8 +2162,11 @@ mod tests {
             for kind in [
                 BackendKind::Serial,
                 BackendKind::Pooled { threads: 4 },
-                BackendKind::Dist { cores: 16 },
-                BackendKind::Hybrid {
+                BackendKind::Dist {
+                    cores: 16,
+                    threads_per_proc: 1,
+                },
+                BackendKind::Dist {
                     cores: 24,
                     threads_per_proc: 6,
                 },

@@ -136,3 +136,22 @@ fn unknown_experiment_exits_2() {
         "{stderr}"
     );
 }
+
+#[test]
+fn non_positive_scale_exits_2_with_usage() {
+    let dir = temp_dir("scale");
+    let out = repro()
+        .args([
+            "--quick",
+            "--scale",
+            "0",
+            "--out",
+            dir.join("results").to_str().unwrap(),
+            "fig3",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage"), "{stderr}");
+}

@@ -1,7 +1,14 @@
 //! [`DistBackend`]: the Table-I primitives on the simulated 2D-decomposed
 //! runtime of `rcm-dist`, with every step charged to a [`SimClock`] under
-//! the Fig. 4 phase taxonomy. One thread per process — the flat-MPI
-//! configuration; see [`crate::backends::HybridBackend`] for MPI×OpenMP.
+//! the Fig. 4 phase taxonomy.
+//!
+//! One backend serves both of the paper's Fig. 6 configurations. The data
+//! path, and so the permutation, is the same at every thread count; only
+//! the clock differs. At one thread per process it models flat MPI. Above
+//! that it models MPI×OpenMP: every compute charge, push or pull, is
+//! divided by [`rcm_dist::MachineModel::thread_speedup`], while
+//! communication is charged undivided (fewer, fatter processes ⇒ a smaller
+//! process grid, cheaper collectives, sub-linear compute speedup).
 
 use crate::distributed::{DistRcmConfig, DistRcmResult, SortMode};
 use crate::driver::{DenseTarget, DriverStats, RcmRuntime};
@@ -31,22 +38,15 @@ pub struct DistBackend {
 
 impl DistBackend {
     /// Distribute `a` over the configuration's process grid and start the
-    /// clock (a fresh SpMSpV workspace per call; use [`DistBackend::warm`]
-    /// to amortize).
+    /// clock, reusing a warm [`DistSpmspvWorkspace`] from a previous
+    /// ordering — the engine's install phase. The matrix distribution and
+    /// the dense companions are rebuilt per install (that *is* the modeled
+    /// 2D decomposition); the stamped SpMSpV accumulator, the dominant
+    /// steady-state scratch, carries its high-water-mark capacity across
+    /// matrices (recover it with [`DistBackend::into_result_warm`]).
     ///
     /// Panics when the configuration's process count is not a perfect
     /// square (the paper's CombBLAS restriction, §V-A).
-    pub fn new(a: &CscMatrix, config: &DistRcmConfig) -> Self {
-        DistBackend::warm(a, config, DistSpmspvWorkspace::new())
-    }
-
-    /// [`DistBackend::new`] reusing a warm [`DistSpmspvWorkspace`] from a
-    /// previous ordering — the engine's install phase. The matrix
-    /// distribution and the dense companions are rebuilt per install (that
-    /// *is* the modeled 2D decomposition); the stamped SpMSpV accumulator,
-    /// the dominant steady-state scratch, carries its high-water-mark
-    /// capacity across matrices (recover it with
-    /// [`DistBackend::into_result_warm`]).
     pub fn warm(a: &CscMatrix, config: &DistRcmConfig, ws: DistSpmspvWorkspace<Label>) -> Self {
         let grid = config.hybrid.grid().unwrap_or_else(|| {
             panic!(
@@ -84,14 +84,9 @@ impl DistBackend {
     }
 
     /// Finish the run: reverse CM → RCM, map internal (balance-permuted)
-    /// ids back to original vertex ids, and package the clock's accounting
-    /// with the driver's statistics.
-    pub fn into_result(self, stats: DriverStats) -> DistRcmResult {
-        self.into_result_warm(stats).0
-    }
-
-    /// [`DistBackend::into_result`] that also hands the warm SpMSpV
-    /// workspace back for the next install.
+    /// ids back to original vertex ids, package the clock's accounting
+    /// with the driver's statistics, and hand the warm SpMSpV workspace
+    /// back for the next install.
     pub fn into_result_warm(
         self,
         stats: DriverStats,
@@ -116,15 +111,9 @@ impl DistBackend {
             breakdown,
             grid_side,
             threads_per_proc: self.config.hybrid.threads_per_proc,
-            components: stats.components,
-            peripheral_bfs: stats.peripheral_bfs,
-            levels: stats.levels,
             messages,
             bytes,
-            push_expands: stats.push_expands,
-            pull_expands: stats.pull_expands,
-            level_stats: stats.level_stats,
-            peripheral_stats: stats.peripheral_stats,
+            stats,
         };
         (result, self.ws)
     }

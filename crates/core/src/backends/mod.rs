@@ -1,23 +1,20 @@
-//! The four [`RcmRuntime`](crate::driver::RcmRuntime) implementations.
+//! The three [`RcmRuntime`](crate::driver::RcmRuntime) implementations.
 //!
 //! | backend | Table-I primitives supplied by | cost accounting |
 //! |---|---|---|
 //! | [`SerialBackend`] | one core: a claiming SpMSpV fused with `SELECT`, a pull that stops each row at the frontier's minimum, the counting `SORTPERM` | none |
 //! | [`PooledBackend`] | the work-stealing pool of [`crate::pool`] | none |
-//! | [`DistBackend`] | `rcm-dist` distributed primitives | [`rcm_dist::SimClock`] (flat MPI) |
-//! | [`HybridBackend`] | [`DistBackend`] | compute divided by [`rcm_dist::MachineModel::thread_speedup`] |
+//! | [`DistBackend`] | `rcm-dist` distributed primitives | [`rcm_dist::SimClock`]: flat MPI at one thread per process, the Fig. 6 MPI×OpenMP hybrid above it (compute divided by [`rcm_dist::MachineModel::thread_speedup`]) |
 //!
 //! Every backend executes the identical generic driver
 //! ([`crate::driver::drive_cm_with`]) and produces the bit-identical
 //! permutation; only the execution substrate and the modeled cost differ.
 
 mod dist;
-mod hybrid;
 mod pooled;
 pub(crate) mod serial;
 
 pub use dist::DistBackend;
-pub use hybrid::HybridBackend;
 pub use pooled::PooledBackend;
 pub use serial::{SerialBackend, SerialWorkspace};
 

@@ -4,11 +4,10 @@
 //! This module holds only the run configuration and result types plus the
 //! [`dist_rcm`] front door: the BFS/peripheral/labeling pipeline lives
 //! **once** in [`crate::driver::drive_cm_with`], and `dist_rcm` runs it on
-//! [`crate::backends::DistBackend`] (flat MPI) or
-//! [`crate::backends::HybridBackend`] (`threads_per_proc > 1`, the Fig. 6
-//! MPI×OpenMP configuration). Every step charges simulated time to a
-//! [`rcm_dist::SimClock`] under the phase taxonomy of Fig. 4
-//! (`Peripheral/Ordering × SpMSpV/Sort/Other`), which is what the
+//! [`crate::backends::DistBackend`] — flat MPI at one thread per process,
+//! the Fig. 6 MPI×OpenMP configuration above it. Every step charges
+//! simulated time to a [`rcm_dist::SimClock`] under the phase taxonomy of
+//! Fig. 4 (`Peripheral/Ordering × SpMSpV/Sort/Other`), which is what the
 //! benchmark harness plots.
 //!
 //! Determinism: with `balance_seed = None` the returned permutation is
@@ -18,10 +17,11 @@
 //! `(degree, id)` tie-breaks; quality is unaffected but exact orderings may
 //! differ.
 
-use crate::driver::{ExpandDirection, StartNode};
+use crate::backends::DistBackend;
+use crate::driver::{drive_cm_with, DriverStats, ExpandDirection, LabelingMode, StartNode};
 pub use crate::driver::{LevelStat, PeripheralStat};
-use rcm_dist::{HybridConfig, MachineModel};
-use rcm_sparse::{CscMatrix, Permutation};
+use rcm_dist::{DistSpmspvWorkspace, HybridConfig, MachineModel};
+use rcm_sparse::{CscMatrix, Label, Permutation};
 
 /// How (and whether) frontier vertices are sorted before labeling — the
 /// §VI "future work" ablation knob.
@@ -103,57 +103,49 @@ pub struct DistRcmResult {
     pub grid_side: usize,
     /// Threads per process used by the cost model.
     pub threads_per_proc: usize,
-    /// Connected components labeled.
-    pub components: usize,
-    /// BFS sweeps spent in pseudo-peripheral searches.
-    pub peripheral_bfs: usize,
-    /// Frontier-expansion iterations in the ordering passes.
-    pub levels: usize,
     /// Total messages the cost model counted.
     pub messages: u64,
     /// Total bytes the cost model counted.
     pub bytes: u64,
-    /// Frontier expansions (ordering and peripheral) that ran top-down.
-    pub push_expands: usize,
-    /// Frontier expansions (ordering and peripheral) that ran bottom-up
-    /// (dense-allgather pull).
-    pub pull_expands: usize,
-    /// Per-level trace of the ordering passes (concatenated across
-    /// components), including the direction chosen per level.
-    pub level_stats: Vec<LevelStat>,
-    /// Per-component peripheral-search trace (start vertex, sweeps run,
-    /// BFS levels traversed, final eccentricity).
-    pub peripheral_stats: Vec<PeripheralStat>,
+    /// The generic driver's record: components, peripheral sweeps, levels,
+    /// expansion directions, and the per-level and per-component traces.
+    pub stats: DriverStats,
 }
 
 /// Run distributed RCM on a symmetric pattern matrix.
 ///
-/// Runs on a per-call [`crate::engine::OrderingEngine`]:
-/// `threads_per_proc > 1` selects the hybrid backend (compute charged
-/// through [`MachineModel::thread_speedup`]), otherwise the flat one — the
-/// data path, and therefore the permutation, is identical either way.
-/// Sessions that order many matrices should hold a warm engine instead.
+/// `threads_per_proc > 1` charges compute through
+/// [`MachineModel::thread_speedup`] (the hybrid configuration); the data
+/// path, and therefore the permutation, is identical either way. Sessions
+/// that order many matrices should hold a warm
+/// [`crate::engine::OrderingEngine`] on [`crate::BackendKind::Dist`]
+/// instead.
 ///
 /// Panics when the configuration's process count is not a perfect square
 /// (the paper's CombBLAS restriction, §V-A).
 pub fn dist_rcm(a: &CscMatrix, config: &DistRcmConfig) -> DistRcmResult {
-    let kind = if config.hybrid.threads_per_proc > 1 {
-        crate::driver::BackendKind::Hybrid {
-            cores: config.hybrid.cores,
-            threads_per_proc: config.hybrid.threads_per_proc,
-        }
+    dist_rcm_warm(a, config, &mut DistSpmspvWorkspace::new())
+}
+
+/// One simulated run: install `a` on a [`DistBackend`] over `ws`, drive
+/// Algorithms 3–4, and extract the result, leaving the warm SpMSpV
+/// workspace in `ws` — the body of [`dist_rcm`] and of the engine's
+/// distributed backend.
+pub(crate) fn dist_rcm_warm(
+    a: &CscMatrix,
+    config: &DistRcmConfig,
+    ws: &mut DistSpmspvWorkspace<Label>,
+) -> DistRcmResult {
+    let mode = if config.sort_mode == SortMode::GlobalSortAtEnd {
+        LabelingMode::GlobalAtEnd
     } else {
-        crate::driver::BackendKind::Dist {
-            cores: config.hybrid.cores,
-        }
+        LabelingMode::PerLevel
     };
-    let engine_cfg = crate::engine::EngineConfig::builder()
-        .backend(kind)
-        .direction(config.direction)
-        .start_node(config.start_node)
-        .dist(*config)
-        .build();
-    crate::engine::OrderingEngine::new(engine_cfg).order_dist(a)
+    let mut rt = DistBackend::warm(a, config, std::mem::take(ws));
+    let stats = drive_cm_with(&mut rt, mode, config.direction, &config.start_node);
+    let (result, warm) = rt.into_result_warm(stats);
+    *ws = warm;
+    result
 }
 
 #[cfg(test)]
@@ -241,7 +233,7 @@ mod tests {
         let expect = algebraic_rcm_of(&a);
         let res = dist_rcm(&a, &config_with_cores(4));
         assert_eq!(res.perm, expect);
-        assert_eq!(res.components, 7); // {0,1,2} {3} {4} {5,6} {7,8,9} {10} {11}
+        assert_eq!(res.stats.components, 7); // {0,1,2} {3} {4} {5,6} {7,8,9} {10} {11}
     }
 
     #[test]
@@ -320,8 +312,8 @@ mod tests {
             let pair = res.breakdown.get(ph);
             assert!(pair.compute > 0.0 || pair.comm > 0.0, "{ph:?} empty");
         }
-        assert!(res.peripheral_bfs >= 2);
-        assert!(res.levels > 0);
+        assert!(res.stats.peripheral_bfs >= 2);
+        assert!(res.stats.levels > 0);
         assert!((res.sim_seconds - res.breakdown.total()).abs() < 1e-12);
     }
 }

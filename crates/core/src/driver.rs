@@ -14,16 +14,15 @@
 //!   level-synchronous BFS, and the labeling/`SORTPERM` pass (Algorithm 3)
 //!   generically — the only copy of that pipeline in the workspace.
 //!
-//! Four backends implement the trait (see [`crate::backends`]):
+//! Three backends implement the trait (see [`crate::backends`]):
 //!
 //! | backend | runtime | entry point |
 //! |---|---|---|
 //! | [`SerialBackend`] | sequential `rcm-sparse` vectors | [`crate::OrderingEngine`] with [`BackendKind::Serial`] |
 //! | [`PooledBackend`] | work-stealing thread pool ([`crate::pool`]) | [`crate::OrderingEngine`] with [`BackendKind::Pooled`] |
-//! | [`DistBackend`] | simulated 2D runtime (`rcm-dist`), flat MPI | [`crate::dist_rcm`], or [`BackendKind::Dist`] |
-//! | [`HybridBackend`] | `DistBackend` with `threads_per_proc > 1` (Fig. 6) | [`crate::dist_rcm`], or [`BackendKind::Hybrid`] |
+//! | [`DistBackend`] | simulated 2D runtime (`rcm-dist`): flat MPI at one thread per process, MPI×OpenMP (Fig. 6) above it | [`crate::dist_rcm`], or [`BackendKind::Dist`] |
 //!
-//! All four produce **bit-identical** permutations — the cross-backend
+//! All three produce **bit-identical** permutations — the cross-backend
 //! equality is enforced by the integration suite on every suite graph.
 //!
 //! # Direction-optimizing frontier expansion
@@ -53,7 +52,7 @@
 //! [`PULL_BETA`]` · nnz(frontier) ≥ n` (the dense representation's Θ(n)
 //! scan/allgather is amortized); it **pushes** otherwise. Backends gate
 //! the adaptive policy through [`RcmRuntime::pull_profitable`]: pull's
-//! payoff is avoiding frontier-proportional communication (dist/hybrid),
+//! payoff is avoiding frontier-proportional communication (dist),
 //! per-edge atomics (the pool with >1 worker), or edges (serial). The
 //! serial pull stops a row at a neighbour holding the frontier's minimum,
 //! Beamer's early exit: exact under `(select2nd, min)`, because no value
@@ -156,7 +155,6 @@
 //! [`SerialBackend`]: crate::backends::SerialBackend
 //! [`PooledBackend`]: crate::backends::PooledBackend
 //! [`DistBackend`]: crate::backends::DistBackend
-//! [`HybridBackend`]: crate::backends::HybridBackend
 
 use rcm_dist::Phase;
 use rcm_sparse::{Label, Vidx};
@@ -608,7 +606,7 @@ pub trait RcmRuntime {
     ///
     /// The default falls back to that push pair, so a backend without a
     /// native pull kernel still honors every forced-direction mode
-    /// correctly (at push cost). All four in-tree backends override it.
+    /// correctly (at push cost). All three in-tree backends override it.
     fn expand_pull(&mut self, x: &Self::Frontier, which: DenseTarget) -> Self::Frontier {
         let y = self.spmspv(x);
         self.select_unvisited(&y, which)
@@ -982,28 +980,29 @@ pub enum BackendKind {
         /// Worker threads.
         threads: usize,
     },
-    /// [`crate::backends::DistBackend`], flat MPI (1 thread/process).
+    /// [`crate::backends::DistBackend`] on the simulated 2D runtime: flat
+    /// MPI at one thread per process, MPI × OpenMP (Fig. 6) above it.
     Dist {
-        /// Total cores (= processes; must form a square grid).
+        /// Total cores; `cores / threads_per_proc` processes must form a
+        /// square grid.
         cores: usize,
-    },
-    /// [`crate::backends::HybridBackend`] (MPI × OpenMP, Fig. 6).
-    Hybrid {
-        /// Total cores.
-        cores: usize,
-        /// Threads per MPI process (> 1).
+        /// Threads per MPI process.
         threads_per_proc: usize,
     },
 }
 
 impl BackendKind {
-    /// Short display name (`serial`, `pooled`, `dist`, `hybrid`).
+    /// Short display name: `serial`, `pooled`, and `dist` at one thread
+    /// per process or `hybrid` above it.
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::Serial => "serial",
             BackendKind::Pooled { .. } => "pooled",
-            BackendKind::Dist { .. } => "dist",
-            BackendKind::Hybrid { .. } => "hybrid",
+            BackendKind::Dist {
+                threads_per_proc: 1,
+                ..
+            } => "dist",
+            BackendKind::Dist { .. } => "hybrid",
         }
     }
 }
@@ -1026,9 +1025,16 @@ mod tests {
     fn backend_kinds_have_names() {
         assert_eq!(BackendKind::Serial.name(), "serial");
         assert_eq!(BackendKind::Pooled { threads: 2 }.name(), "pooled");
-        assert_eq!(BackendKind::Dist { cores: 4 }.name(), "dist");
         assert_eq!(
-            BackendKind::Hybrid {
+            BackendKind::Dist {
+                cores: 4,
+                threads_per_proc: 1
+            }
+            .name(),
+            "dist"
+        );
+        assert_eq!(
+            BackendKind::Dist {
                 cores: 24,
                 threads_per_proc: 6
             }
@@ -1044,8 +1050,11 @@ mod tests {
         let expect = rcm_with(BackendKind::Serial);
         for kind in [
             BackendKind::Pooled { threads: 3 },
-            BackendKind::Dist { cores: 4 },
-            BackendKind::Hybrid {
+            BackendKind::Dist {
+                cores: 4,
+                threads_per_proc: 1,
+            },
+            BackendKind::Dist {
                 cores: 24,
                 threads_per_proc: 6,
             },
@@ -1321,8 +1330,11 @@ mod tests {
             for kind in [
                 BackendKind::Serial,
                 BackendKind::Pooled { threads: 3 },
-                BackendKind::Dist { cores: 4 },
-                BackendKind::Hybrid {
+                BackendKind::Dist {
+                    cores: 4,
+                    threads_per_proc: 1,
+                },
+                BackendKind::Dist {
                     cores: 24,
                     threads_per_proc: 6,
                 },

@@ -63,13 +63,10 @@
 //! assert_eq!(engine.orderings(), 3);
 //! ```
 
-use crate::backends::{DistBackend, HybridBackend, SerialWorkspace};
+use crate::backends::SerialWorkspace;
 use crate::compress::{rcm_compressed, CompressStats};
-use crate::distributed::{DistRcmConfig, DistRcmResult, SortMode};
-use crate::driver::{
-    drive_cm_with, BackendKind, DriverStats, ExpandDirection, LabelingMode, PeripheralStat,
-    StartNode,
-};
+use crate::distributed::{dist_rcm_warm, DistRcmConfig, DistRcmResult, SortMode};
+use crate::driver::{BackendKind, DriverStats, ExpandDirection, PeripheralStat, StartNode};
 use crate::pool::{PoolConfig, RcmPool};
 use crate::quality::ordering_bandwidth;
 use crate::service::{CacheOutcome, CacheStats, PatternCache};
@@ -139,13 +136,9 @@ pub struct EngineConfig {
     /// ([`crate::compress::rcm_compressed`]): detect indistinguishable
     /// vertices, order the quotient, expand. Reports go out with
     /// [`OrderingReport::compress`] populated. The quotient ordering uses
-    /// the sequential George–Liu pipeline regardless of `backend`.
+    /// the sequential George–Liu pipeline regardless of `backend` and
+    /// `start_node`.
     pub compress: bool,
-    /// Full distributed run configuration (machine model, balance seed,
-    /// sort mode) for the dist/hybrid backends. `None` = the Edison model
-    /// with the paper's defaults, derived from `backend`. The engine's
-    /// `backend` and `direction` fields stay authoritative either way.
-    pub dist: Option<DistRcmConfig>,
     /// Give the engine a private pattern-fingerprint ordering cache
     /// ([`crate::service::PatternCache`]): identical patterns return the
     /// cached permutation in O(nnz) hash time, reports carry
@@ -172,7 +165,7 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// Start building a configuration. Defaults: serial backend, direction
     /// from `RCM_DIRECTION`, start node from `RCM_START_NODE`, no
-    /// compression, paper-default distributed model, no cache.
+    /// compression, no cache, no component split.
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             config: EngineConfig {
@@ -180,7 +173,6 @@ impl EngineConfig {
                 direction: ExpandDirection::from_env(),
                 start_node: StartNode::from_env(),
                 compress: false,
-                dist: None,
                 cache: None,
                 split_components: false,
             },
@@ -218,13 +210,6 @@ impl EngineConfigBuilder {
     /// ([`crate::compress::rcm_compressed`]).
     pub fn compress(mut self, compress: bool) -> Self {
         self.config.compress = compress;
-        self
-    }
-
-    /// Supply a full distributed run configuration for the dist/hybrid
-    /// backends (machine model, balance seed, sort mode).
-    pub fn dist(mut self, dist: DistRcmConfig) -> Self {
-        self.config.dist = Some(dist);
         self
     }
 
@@ -273,8 +258,8 @@ pub struct OrderingReport {
     /// metrics excluded). For batch-scheduled small matrices this is the
     /// batch total amortized over its matrices.
     pub wall_seconds: f64,
-    /// The full simulated result (breakdown, messages, bytes) when the
-    /// backend is dist/hybrid.
+    /// The full simulated result (breakdown, messages, bytes) on the dist
+    /// backend.
     pub sim: Option<DistRcmResult>,
     /// Compression statistics when [`EngineConfig::compress`] is set.
     pub compress: Option<CompressStats>,
@@ -538,15 +523,15 @@ impl OrderingEngine {
                 return self.order_split(a, &comps);
             }
         }
-        if let BackendKind::Dist { .. } | BackendKind::Hybrid { .. } = self.config.backend {
-            let result = self.order_dist(a);
-            let (perm, stats) = (result.perm.clone(), driver_stats(&result));
+        let start_node = self.config.start_node;
+        if let BackendKind::Dist { .. } = self.config.backend {
+            let result = self.order_dist(a, start_node);
+            let raw = RawOrdering::new(result.perm.clone(), result.stats.clone());
             return RawOrdering {
                 sim: Some(result),
-                ..RawOrdering::new(perm, stats)
+                ..raw
             };
         }
-        let start_node = self.config.start_node;
         let (cm, stats, parallel_levels) = self.order_cm(a, &start_node);
         RawOrdering {
             parallel_levels,
@@ -556,7 +541,7 @@ impl OrderingEngine {
 
     /// One unreversed Cuthill-McKee ordering of `a` on the warm backend —
     /// one body per backend: [`SerialWorkspace`]'s for serial, the pool's
-    /// level-parallel pipeline for pooled, a simulated run for dist/hybrid.
+    /// level-parallel pipeline for pooled, a simulated run for dist.
     /// Returns the CM permutation, the driver record, and the count of
     /// pooled expansions that ran in parallel.
     fn order_cm(
@@ -575,9 +560,9 @@ impl OrderingEngine {
                 .as_mut()
                 .expect("pooled engine owns a pool")
                 .order_cm(a, direction, start_node),
-            BackendKind::Dist { .. } | BackendKind::Hybrid { .. } => {
-                let result = self.order_dist_with(a, *start_node);
-                (result.perm.reversed(), driver_stats(&result), 0)
+            BackendKind::Dist { .. } => {
+                let result = self.order_dist(a, *start_node);
+                (result.perm.reversed(), result.stats, 0)
             }
         }
     }
@@ -597,7 +582,7 @@ impl OrderingEngine {
     /// contributes global RCM labels `n - 1 - o - cm[u]`.
     ///
     /// Per-piece stats merge in schedule order (`components` sums to the
-    /// piece count, level traces concatenate); on the dist/hybrid backends
+    /// piece count, level traces concatenate); on the dist backend
     /// the pieces run as independent simulated jobs and the report carries
     /// no aggregate simulated result.
     fn order_split(&mut self, a: &CscMatrix, comps: &Components) -> RawOrdering {
@@ -725,78 +710,26 @@ impl OrderingEngine {
         }
     }
 
-    /// One ordering on the warm dist/hybrid backend, returning the full
-    /// simulated result directly — also the body of [`crate::dist_rcm`],
-    /// which needs no second copy of the permutation or level trace.
-    pub(crate) fn order_dist(&mut self, a: &CscMatrix) -> DistRcmResult {
-        self.order_dist_with(a, self.config.start_node)
-    }
-
-    /// [`OrderingEngine::order_dist`] under an explicit start-node strategy
-    /// (the split path orders pieces under per-piece strategies).
-    fn order_dist_with(&mut self, a: &CscMatrix, start_node: StartNode) -> DistRcmResult {
-        let mut dcfg = self.dist_config();
-        dcfg.start_node = start_node;
-        let mode = if dcfg.sort_mode == SortMode::GlobalSortAtEnd {
-            LabelingMode::GlobalAtEnd
-        } else {
-            LabelingMode::PerLevel
+    /// One simulated run on the warm distributed workspace: the engine's
+    /// grid, threads per process, direction and `start_node` on the Edison
+    /// model, with no balance permutation and the paper's sort.
+    fn order_dist(&mut self, a: &CscMatrix, start_node: StartNode) -> DistRcmResult {
+        let BackendKind::Dist {
+            cores,
+            threads_per_proc,
+        } = self.config.backend
+        else {
+            unreachable!("only the dist backend runs simulated orderings")
         };
-        let ws = std::mem::take(&mut self.dist_ws);
-        let (result, ws) = if dcfg.hybrid.threads_per_proc > 1 {
-            let mut rt = HybridBackend::warm(a, &dcfg, ws);
-            let stats = drive_cm_with(&mut rt, mode, dcfg.direction, &dcfg.start_node);
-            rt.into_result_warm(stats)
-        } else {
-            let mut rt = DistBackend::warm(a, &dcfg, ws);
-            let stats = drive_cm_with(&mut rt, mode, dcfg.direction, &dcfg.start_node);
-            rt.into_result_warm(stats)
-        };
-        self.dist_ws = ws;
-        result
-    }
-
-    /// The effective distributed configuration: the user-supplied machine
-    /// model, balance seed, and sort mode (or the Edison defaults), with
-    /// the engine's backend (core count, threads/process) and direction
-    /// applied on top — `EngineConfig::backend`/`direction` stay
-    /// authoritative even against an inconsistent `dist` override.
-    fn dist_config(&self) -> DistRcmConfig {
-        let hybrid = match self.config.backend {
-            BackendKind::Dist { cores } => HybridConfig::new(cores, 1),
-            BackendKind::Hybrid {
-                cores,
-                threads_per_proc,
-            } => HybridConfig::new(cores, threads_per_proc),
-            _ => unreachable!("dist_config is only consulted for dist/hybrid backends"),
-        };
-        let mut cfg = self.config.dist.unwrap_or_else(|| DistRcmConfig {
+        let config = DistRcmConfig {
             machine: MachineModel::edison(),
-            hybrid,
+            hybrid: HybridConfig::new(cores, threads_per_proc),
             balance_seed: None,
             sort_mode: SortMode::Full,
             direction: self.config.direction,
-            start_node: self.config.start_node,
-        });
-        cfg.hybrid = hybrid;
-        cfg.direction = self.config.direction;
-        cfg.start_node = self.config.start_node;
-        cfg
-    }
-}
-
-/// The driver record of a simulated run, in the backend-independent shape
-/// every [`OrderingReport`] carries.
-fn driver_stats(result: &DistRcmResult) -> DriverStats {
-    DriverStats {
-        components: result.components,
-        peripheral_bfs: result.peripheral_bfs,
-        levels: result.levels,
-        spmspv_work: 0,
-        push_expands: result.push_expands,
-        pull_expands: result.pull_expands,
-        level_stats: result.level_stats.clone(),
-        peripheral_stats: result.peripheral_stats.clone(),
+            start_node,
+        };
+        dist_rcm_warm(a, &config, &mut self.dist_ws)
     }
 }
 
@@ -817,8 +750,11 @@ mod tests {
         for kind in [
             BackendKind::Serial,
             BackendKind::Pooled { threads: 3 },
-            BackendKind::Dist { cores: 4 },
-            BackendKind::Hybrid {
+            BackendKind::Dist {
+                cores: 4,
+                threads_per_proc: 1,
+            },
+            BackendKind::Dist {
                 cores: 24,
                 threads_per_proc: 6,
             },
@@ -842,7 +778,10 @@ mod tests {
     #[test]
     fn dist_reports_carry_the_simulated_result() {
         let a = scrambled_grid(9, 5);
-        let mut engine = OrderingEngine::with_backend(BackendKind::Dist { cores: 4 });
+        let mut engine = OrderingEngine::with_backend(BackendKind::Dist {
+            cores: 4,
+            threads_per_proc: 1,
+        });
         let report = engine.order(&a);
         assert!(report.sim_seconds() > 0.0);
         let sim = report
@@ -982,8 +921,11 @@ mod tests {
         for kind in [
             BackendKind::Serial,
             BackendKind::Pooled { threads: 3 },
-            BackendKind::Dist { cores: 4 },
-            BackendKind::Hybrid {
+            BackendKind::Dist {
+                cores: 4,
+                threads_per_proc: 1,
+            },
+            BackendKind::Dist {
                 cores: 24,
                 threads_per_proc: 6,
             },
@@ -1074,7 +1016,10 @@ mod tests {
         for kind in [
             BackendKind::Serial,
             BackendKind::Pooled { threads: 3 },
-            BackendKind::Dist { cores: 4 },
+            BackendKind::Dist {
+                cores: 4,
+                threads_per_proc: 1,
+            },
         ] {
             let mut engine = OrderingEngine::with_backend(kind);
             engine.order(&big);

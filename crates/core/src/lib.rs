@@ -16,11 +16,11 @@
 //! The algebraic front doors share **one** generic pipeline:
 //! [`driver::drive_cm_with`] writes the pseudo-peripheral search,
 //! level-synchronous BFS, and labeling `SORTPERM` once over the Table-I
-//! primitives trait [`driver::RcmRuntime`], and the four backends in
-//! [`backends`] (serial, pooled, distributed, hybrid) supply the
-//! primitives. All implementations produce *identical* orderings (ties
-//! broken by vertex id); the distributed ones match exactly whenever no
-//! load-balance permutation is applied. This cross-backend equality is the
+//! primitives trait [`driver::RcmRuntime`], and the three backends in
+//! [`backends`] (serial, pooled, and distributed at any thread count per
+//! process) supply the primitives. All implementations produce
+//! *identical* orderings (ties broken by vertex id); the distributed one
+//! matches exactly whenever no load-balance permutation is applied. This cross-backend equality is the
 //! backbone of the test suite.
 //!
 //! ```
@@ -51,7 +51,7 @@ pub mod service;
 pub mod sloan;
 pub mod unordered;
 
-pub use backends::{DistBackend, HybridBackend, PooledBackend, SerialBackend, SerialWorkspace};
+pub use backends::{DistBackend, PooledBackend, SerialBackend, SerialWorkspace};
 pub use compress::{find_supervariables, rcm_compressed, CompressStats};
 pub use distributed::{dist_rcm, DistRcmConfig, DistRcmResult, LevelStat, SortMode};
 pub use driver::{

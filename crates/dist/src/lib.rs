@@ -29,7 +29,8 @@
 //! This crate supplies *primitives only*: the BFS, pseudo-peripheral and
 //! labeling drivers that compose them live once in `rcm-core`'s generic
 //! driver (`rcm_core::driver::drive_cm_with`), which runs on this runtime
-//! through its `DistBackend`/`HybridBackend`.
+//! through its `DistBackend` — flat MPI at one thread per process, the
+//! Fig. 6 MPI×OpenMP hybrid above it.
 //!
 //! Determinism contract: all primitives produce exactly the values their
 //! sequential specifications produce, for every grid size — `rcm-core`'s

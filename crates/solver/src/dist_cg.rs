@@ -91,10 +91,11 @@ pub fn dist_pcg(
 }
 
 /// [`dist_pcg`] with multithreaded ranks — the same MPI×OpenMP cost model
-/// as the RCM `HybridBackend`: local compute (SpMV, preconditioner sweeps,
-/// AXPYs) is divided by [`MachineModel::thread_speedup`], communication is
-/// charged undivided, and the numerics (and therefore the returned `x` and
-/// iteration count) are bit-identical to the flat run.
+/// as the RCM `DistBackend` above one thread per process: local compute
+/// (SpMV, preconditioner sweeps, AXPYs) is divided by
+/// [`MachineModel::thread_speedup`], communication is charged undivided,
+/// and the numerics (and therefore the returned `x` and iteration count)
+/// are bit-identical to the flat run.
 #[allow(clippy::too_many_arguments)]
 pub fn dist_pcg_hybrid(
     a: &CsrNumeric,

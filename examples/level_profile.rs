@@ -29,20 +29,26 @@ fn main() {
         "{}: {} rows, {} levels on {} cores ({}x{} grid)\n",
         m.name,
         a.n_rows(),
-        r.level_stats.len(),
+        r.stats.level_stats.len(),
         cores,
         r.grid_side,
         r.grid_side
     );
-    let max_frontier = r.level_stats.iter().map(|l| l.frontier).max().unwrap_or(1);
+    let max_frontier = r
+        .stats
+        .level_stats
+        .iter()
+        .map(|l| l.frontier)
+        .max()
+        .unwrap_or(1);
     println!(
         "{:>6} {:>10} {:>10} {:>5}  frontier width",
         "level", "vertices", "time", "dir"
     );
     // Print at most ~40 representative levels.
-    let step = (r.level_stats.len() / 40).max(1);
-    for (k, stat) in r.level_stats.iter().enumerate() {
-        if k % step != 0 && k != r.level_stats.len() - 1 {
+    let step = (r.stats.level_stats.len() / 40).max(1);
+    for (k, stat) in r.stats.level_stats.iter().enumerate() {
+        if k % step != 0 && k != r.stats.level_stats.len() - 1 {
             continue;
         }
         let bar = "#".repeat((stat.frontier * 40 / max_frontier).max(1));
@@ -55,15 +61,15 @@ fn main() {
             bar
         );
     }
-    let total: f64 = r.level_stats.iter().map(|l| l.seconds).sum();
+    let total: f64 = r.stats.level_stats.iter().map(|l| l.seconds).sum();
     println!(
         "\nordering pass: {:.4}s across {} levels (total run {:.4}s, {} peripheral BFS, \
          {} pull / {} push expansions)",
         total,
-        r.level_stats.len(),
+        r.stats.level_stats.len(),
         r.sim_seconds,
-        r.peripheral_bfs,
-        r.pull_expands,
-        r.push_expands
+        r.stats.peripheral_bfs,
+        r.stats.pull_expands,
+        r.stats.push_expands
     );
 }

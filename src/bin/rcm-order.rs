@@ -11,8 +11,9 @@
 //!                          bit-identical, parity with `repro backends`)
 //!   --compress             order through supervariable compression
 //!                          (--method rcm only, not composable with
-//!                          --backend — the quotient pipeline is
-//!                          sequential; reports the ratio)
+//!                          --backend or --start-node — the quotient
+//!                          pipeline is sequential George-Liu; reports
+//!                          the ratio)
 //!   --cache                give the warm engine a pattern-fingerprint
 //!                          ordering cache (--method rcm only): repeated
 //!                          patterns across the input list are served in
@@ -23,14 +24,15 @@
 //!                          george-liu (default), bi-criteria (RCM++,
 //!                          fewer sweeps), min-degree (zero sweeps), or
 //!                          fixed:N / a bare vertex number; overrides
-//!                          RCM_START_NODE
+//!                          RCM_START_NODE (not composable with --compress)
 //!   --split-components     schedule connected components as independent
 //!                          ordering jobs (--method rcm only, not
 //!                          composable with --compress): detect, order
 //!                          each piece on the configured backend, stitch —
 //!                          bit-identical to the whole-matrix driver; the
 //!                          summary line reports the component count
-//!   --scale <f>            suite generation scale (suite: inputs only)
+//!   --scale <f>            suite generation scale, a positive finite
+//!                          number (suite: inputs only)
 //!   --write-perm <file>    write the permutation (one new label per line)
 //!   --write-matrix <file>  write the reordered matrix in Matrix Market form
 //!   --simulate <cores,..>  also run the simulated distributed RCM
@@ -99,6 +101,11 @@ fn positive(s: &str) -> Option<usize> {
     s.parse().ok().filter(|&k| k > 0)
 }
 
+/// A generation scale: a positive finite number, `None` otherwise.
+fn positive_scale(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|&x: &f64| x.is_finite() && x > 0.0)
+}
+
 fn parse_args() -> Options {
     let mut opts = Options {
         inputs: Vec::new(),
@@ -135,7 +142,7 @@ fn parse_args() -> Options {
             "--scale" => {
                 opts.scale = Some(
                     args.next()
-                        .and_then(|s| s.parse().ok())
+                        .and_then(|s| positive_scale(&s))
                         .unwrap_or_else(|| usage()),
                 )
             }
@@ -198,14 +205,18 @@ fn main() {
 
     // --backend picks the RcmRuntime executing the generic algebraic
     // driver (parity with `repro backends`); the ordering is bit-identical
-    // across all four, so it composes only with the rcm method.
+    // across all of them, so it composes only with the rcm method.
+    // `hybrid` is the dist backend at 6 threads per process.
     let backend_kind = opts.backend.as_deref().map(|name| match name {
         "serial" => BackendKind::Serial,
         "pooled" => BackendKind::Pooled {
             threads: opts.threads,
         },
-        "dist" => BackendKind::Dist { cores: 16 },
-        "hybrid" => BackendKind::Hybrid {
+        "dist" => BackendKind::Dist {
+            cores: 16,
+            threads_per_proc: 1,
+        },
+        "hybrid" => BackendKind::Dist {
             cores: 24,
             threads_per_proc: 6,
         },
@@ -233,6 +244,13 @@ fn main() {
     if opts.compress && backend_kind.is_some() {
         eprintln!(
             "--compress does not compose with --backend: the compressed quotient is \
+             ordered by the sequential George-Liu pipeline"
+        );
+        std::process::exit(2);
+    }
+    if opts.compress && opts.start_node.is_some() {
+        eprintln!(
+            "--compress does not compose with --start-node: the compressed quotient is \
              ordered by the sequential George-Liu pipeline"
         );
         std::process::exit(2);

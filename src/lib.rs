@@ -11,8 +11,9 @@
 //!   machine model, collectives, distributed Table-I primitives.
 //! * [`core`] — RCM itself: the generic Table-I driver
 //!   (`core::driver::RcmRuntime` + `core::driver::drive_cm_with`) with
-//!   serial, pooled, distributed and hybrid backends behind the warm
-//!   `OrderingEngine`, plus the classical George–Liu implementation.
+//!   serial, pooled and distributed (flat MPI or hybrid) backends behind
+//!   the warm `OrderingEngine`, plus the classical George–Liu
+//!   implementation.
 //! * [`solver`] — CG + block-Jacobi/IC(0) and the Fig. 1 time model.
 //!
 //! ## Quickstart

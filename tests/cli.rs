@@ -389,6 +389,31 @@ fn compress_flag_rejects_backend_selection() {
 }
 
 #[test]
+fn compress_flag_rejects_start_node_selection() {
+    // The compression path orders the quotient with George-Liu; silently
+    // accepting --start-node would write a George-Liu permutation.
+    for strategy in ["min-degree", "fixed:3", "george-liu"] {
+        let out = rcm_order()
+            .args([
+                "suite:nd24k",
+                "--scale",
+                "0.005",
+                "--compress",
+                "--start-node",
+                strategy,
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{strategy}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--compress does not compose with --start-node"),
+            "{strategy}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn compress_flag_rejects_non_rcm_methods() {
     let out = rcm_order()
         .args([
@@ -451,6 +476,13 @@ fn assert_usage_error(args: &[&str]) {
 fn zero_simulate_cores_exit_2_with_usage() {
     assert_usage_error(&["--simulate", "0"]);
     assert_usage_error(&["--simulate", "4,0"]);
+}
+
+#[test]
+fn non_positive_or_non_finite_scale_exits_2_with_usage() {
+    for scale in ["0", "-0", "-1", "-0.5", "nan", "inf", "-inf", "x"] {
+        assert_usage_error(&["--scale", scale]);
+    }
 }
 
 #[test]

@@ -67,8 +67,11 @@ fn backends(threads: usize) -> Vec<BackendKind> {
     vec![
         BackendKind::Serial,
         BackendKind::Pooled { threads },
-        BackendKind::Dist { cores: 16 },
-        BackendKind::Hybrid {
+        BackendKind::Dist {
+            cores: 16,
+            threads_per_proc: 1,
+        },
+        BackendKind::Dist {
             cores: 24,
             threads_per_proc: 6,
         },

@@ -95,7 +95,13 @@ fn all_four_backends_agree_bitwise_on_suite_and_degenerates() {
         }
         for cores in [1usize, 4, 9] {
             assert_eq!(
-                single_shot(&a, BackendKind::Dist { cores }),
+                single_shot(
+                    &a,
+                    BackendKind::Dist {
+                        cores,
+                        threads_per_proc: 1
+                    }
+                ),
                 expect,
                 "{name}: dist backend diverged on {cores} ranks"
             );
@@ -104,7 +110,7 @@ fn all_four_backends_agree_bitwise_on_suite_and_degenerates() {
             assert_eq!(
                 single_shot(
                     &a,
-                    BackendKind::Hybrid {
+                    BackendKind::Dist {
                         cores,
                         threads_per_proc
                     }

@@ -56,8 +56,11 @@ fn assert_all_directions_agree(name: &str, a: &CscMatrix) {
                 .into_iter()
                 .map(|threads| BackendKind::Pooled { threads }),
         );
-        kinds.push(BackendKind::Dist { cores: 4 });
-        kinds.push(BackendKind::Hybrid {
+        kinds.push(BackendKind::Dist {
+            cores: 4,
+            threads_per_proc: 1,
+        });
+        kinds.push(BackendKind::Dist {
             cores: 24,
             threads_per_proc: 6,
         });

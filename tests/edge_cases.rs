@@ -35,7 +35,7 @@ fn empty_matrix_all_pipelines() {
     assert_eq!(engine_rcm(&a, BackendKind::Pooled { threads: 4 }).len(), 0);
     let r = dist_rcm(&a, &dist_cfg(1));
     assert_eq!(r.perm.len(), 0);
-    assert_eq!(r.components, 0);
+    assert_eq!(r.stats.components, 0);
 }
 
 #[test]
@@ -52,7 +52,7 @@ fn single_vertex_all_pipelines() {
     }
     let r = dist_rcm(&a, &dist_cfg(4));
     assert_eq!(r.perm.len(), 1);
-    assert_eq!(r.components, 1);
+    assert_eq!(r.stats.components, 1);
 }
 
 #[test]
@@ -62,7 +62,7 @@ fn all_isolated_vertices() {
     for procs in [1usize, 4, 9] {
         let r = dist_rcm(&a, &dist_cfg(procs));
         assert_eq!(r.perm, expect, "{procs} ranks");
-        assert_eq!(r.components, 9);
+        assert_eq!(r.stats.components, 9);
     }
     // Isolated vertices in min-degree order: vertex 0 first in CM → last in
     // RCM.
@@ -182,7 +182,7 @@ fn components_match_driver_component_count() {
     let a = b.build();
     let comps = connected_components(&a);
     let r = dist_rcm(&a, &dist_cfg(4));
-    assert_eq!(r.components, comps.count());
+    assert_eq!(r.stats.components, comps.count());
 }
 
 #[test]
@@ -217,8 +217,8 @@ fn level_stats_sum_to_vertex_count() {
     let m = suite_matrix("Serena").unwrap();
     let a = m.generate(m.default_scale * 0.1);
     let r = dist_rcm(&a, &dist_cfg(4));
-    let labeled: usize = r.level_stats.iter().map(|l| l.frontier).sum();
+    let labeled: usize = r.stats.level_stats.iter().map(|l| l.frontier).sum();
     // Every vertex except the per-component roots is labeled by a level.
-    assert_eq!(labeled + r.components, a.n_rows());
-    assert!(r.level_stats.iter().all(|l| l.seconds >= 0.0));
+    assert_eq!(labeled + r.stats.components, a.n_rows());
+    assert!(r.stats.level_stats.iter().all(|l| l.seconds >= 0.0));
 }

@@ -95,8 +95,11 @@ fn backend_kinds() -> Vec<BackendKind> {
             .into_iter()
             .map(|threads| BackendKind::Pooled { threads }),
     );
-    kinds.push(BackendKind::Dist { cores: 4 });
-    kinds.push(BackendKind::Hybrid {
+    kinds.push(BackendKind::Dist {
+        cores: 4,
+        threads_per_proc: 1,
+    });
+    kinds.push(BackendKind::Dist {
         cores: 24,
         threads_per_proc: 6,
     });
@@ -154,7 +157,13 @@ fn warm_engine_growth_events_stop_at_the_high_water_mark() {
     // buffers.
     let big = grid_graph(32, 13);
     let smalls = [grid_graph(10, 3), star(200), path(300), forest()];
-    let mut kinds = vec![BackendKind::Serial, BackendKind::Dist { cores: 4 }];
+    let mut kinds = vec![
+        BackendKind::Serial,
+        BackendKind::Dist {
+            cores: 4,
+            threads_per_proc: 1,
+        },
+    ];
     kinds.extend(
         thread_counts_from_env(&[3])
             .into_iter()

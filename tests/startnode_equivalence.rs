@@ -19,8 +19,11 @@ fn all_kinds() -> Vec<BackendKind> {
     for &t in &thread_counts_from_env(&[1, 2, 8]) {
         kinds.push(BackendKind::Pooled { threads: t });
     }
-    kinds.push(BackendKind::Dist { cores: 16 });
-    kinds.push(BackendKind::Hybrid {
+    kinds.push(BackendKind::Dist {
+        cores: 16,
+        threads_per_proc: 1,
+    });
+    kinds.push(BackendKind::Dist {
         cores: 24,
         threads_per_proc: 6,
     });
