@@ -2,8 +2,9 @@
 //! ordering itself, on an in-memory ldoor-class `coordinate pattern
 //! symmetric` file (the shuffled ldoor mesh at scale 0.05, ~13 MB of text):
 //! the Matrix Market read (byte scanner and counting CSC build), the
-//! hand-formatted write of the reordered matrix, the O(nnz) symmetry check
-//! and the one-pass quality report.
+//! counting-scatter `permute_sym` that builds the reordered matrix, the
+//! digit-cached write of it, the O(nnz) symmetry check and the one-pass
+//! quality report (bandwidth, profile and wavefront).
 
 use std::io::Write;
 
@@ -54,6 +55,7 @@ fn bench_mm_io(c: &mut Criterion) {
     });
     group.throughput(Throughput::Elements(a.nnz() as u64));
     group.bench_function("is_symmetric", |b| b.iter(|| a.is_symmetric()));
+    group.bench_function("permute_sym", |b| b.iter(|| a.permute_sym(&perm).nnz()));
     group.bench_function("quality_report", |b| b.iter(|| quality_report(&a, &perm)));
     group.finish();
 }

@@ -8,6 +8,25 @@
 use crate::perm::Permutation;
 use crate::Vidx;
 
+/// How many new labels ahead of the one being scattered
+/// [`CscMatrix::permute_sym`] prefetches an old column (and twice as far
+/// ahead, the column's bounds).
+const PREFETCH_AHEAD: usize = 4;
+
+/// Ask the cache for the line holding `p`; off x86_64 it does nothing.
+#[inline(always)]
+fn prefetch<T>(p: &T) {
+    // SAFETY: a prefetch is a hint that never dereferences and cannot
+    // fault.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((p as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// A pattern (structure-only) sparse matrix in CSC layout.
 ///
 /// Invariants maintained by all constructors:
@@ -271,12 +290,31 @@ impl CscMatrix {
 
     /// Symmetric permutation `PAPᵀ`: entry `(i, j)` moves to
     /// `(perm[i], perm[j])` where `perm` maps old ids to new labels.
+    ///
+    /// The pattern must be structurally symmetric, as every ordering input
+    /// is: column `v` is then also row `v`. One counting scatter builds the
+    /// result with no sort. New labels `j` are walked in ascending order,
+    /// old column `old_of_new[j]` is read as that vertex's row, and `j` is
+    /// appended to new column `perm[r]` for each of its entries `r`, so
+    /// every new column fills in ascending row order. O(n + nnz).
+    ///
+    /// # Panics
+    ///
+    /// If the matrix is not square or `perm` has the wrong length. Debug
+    /// builds also check the symmetry up front. Release builds check in
+    /// O(n) that each new column received exactly its old column's count,
+    /// so an unsymmetric pattern panics there too, unless every row holds
+    /// as many entries as its column; the result is then `PAᵀPᵀ`.
     pub fn permute_sym(&self, perm: &Permutation) -> CscMatrix {
         assert_eq!(
             self.n_rows, self.n_cols,
             "permute_sym needs a square matrix"
         );
         assert_eq!(perm.len(), self.n_cols, "permutation size mismatch");
+        debug_assert!(
+            self.is_symmetric(),
+            "permute_sym needs a structurally symmetric matrix"
+        );
         let n = self.n_cols;
         let p = perm.as_new_of_old();
         let old_of_new = perm.old_of_new();
@@ -287,14 +325,31 @@ impl CscMatrix {
             col_ptr[new_c + 1] = col_ptr[new_c] + self.col_nnz(old_c);
         }
         let mut row_idx = vec![0 as Vidx; self.nnz()];
-        for new_c in 0..n {
-            let old_c = old_of_new[new_c] as usize;
-            let dst = &mut row_idx[col_ptr[new_c]..col_ptr[new_c + 1]];
-            for (slot, &old_r) in dst.iter_mut().zip(self.col(old_c)) {
-                *slot = p[old_r as usize];
+        let mut cursor = col_ptr[..n].to_vec();
+        for (new_r, &old_r) in old_of_new.iter().enumerate() {
+            // The old columns are read in a shuffled order, so each one is a
+            // cache miss: ask for the bounds, then the first lines, of the
+            // columns a few labels ahead.
+            if let Some(&ahead) = old_of_new.get(new_r + 2 * PREFETCH_AHEAD) {
+                prefetch(&self.col_ptr[ahead as usize]);
             }
-            dst.sort_unstable();
+            if let Some(&ahead) = old_of_new.get(new_r + PREFETCH_AHEAD) {
+                let col = self.col(ahead as usize);
+                col.iter().step_by(16).take(3).for_each(prefetch);
+            }
+            for &old_c in self.col(old_r as usize) {
+                let slot = &mut cursor[p[old_c as usize] as usize];
+                row_idx[*slot] = new_r as Vidx;
+                *slot += 1;
+            }
         }
+        // Each cursor must end where the next column starts: a column that
+        // received more or fewer entries than it was counted for has
+        // spilled into, or left a gap before, its neighbour.
+        assert!(
+            cursor[..] == col_ptr[1..],
+            "permute_sym needs a structurally symmetric matrix"
+        );
         CscMatrix::from_parts(n, n, col_ptr, row_idx)
     }
 

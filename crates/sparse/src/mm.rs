@@ -582,43 +582,68 @@ fn format_decimal(buf: &mut [u8], end: usize, mut v: u64) -> usize {
     }
 }
 
+/// Width of one formatted token in [`write_pattern`]: up to 12 bytes of
+/// text (` `, the ten digits of a 1-based `u32` index, `\n`), its length in
+/// the last byte.
+const SLOT: usize = 16;
+
+/// `text` left-aligned in a zeroed slot, its length in the last byte.
+#[inline]
+fn slot(text: &[u8]) -> [u8; SLOT] {
+    let mut s = [0u8; SLOT];
+    s[..text.len()].copy_from_slice(text);
+    s[SLOT - 1] = text.len() as u8;
+    s
+}
+
 /// Write a pattern matrix as `coordinate pattern general` Matrix Market
 /// text: the banner, one comment line, the size line, then one
 /// `format!("{} {}\n", r + 1, c + 1)` line per entry in column-major order.
-/// Lines are formatted by hand into a reused buffer and handed to `w` in
-/// 64 KiB chunks.
+///
+/// Each row's digits are formatted once, on its first entry, into a slot
+/// of a zeroed per-row table (untouched slots cost no resident memory),
+/// and each column's ` c\n` tail once per column. A line is then two
+/// fixed-width slot copies into a 64 KiB chunk, each advanced by its
+/// text's length; the chunk is handed to `w` when full.
 pub fn write_pattern<W: Write>(a: &CscMatrix, mut w: W) -> std::io::Result<()> {
-    let mut out = Vec::with_capacity(WRITE_CHUNK + 64);
-    out.extend_from_slice(
-        b"%%MatrixMarket matrix coordinate pattern general\n% written by rcm-sparse\n",
+    let header = format!(
+        "%%MatrixMarket matrix coordinate pattern general\n% written by rcm-sparse\n{} {} {}\n",
+        a.n_rows(),
+        a.n_cols(),
+        a.nnz()
     );
-    // One line, assembled right-aligned: `line[tail..]` holds " {c + 1}\n"
-    // for the whole column, and each entry's row goes in front of it.
-    let mut line = [0u8; 64];
-    let end = line.len();
-    for (k, dim) in [a.n_rows(), a.n_cols(), a.nnz()].into_iter().enumerate() {
-        let start = format_decimal(&mut line, end, dim as u64);
-        out.extend_from_slice(&line[start..]);
-        out.push(if k < 2 { b' ' } else { b'\n' });
-    }
-    line[end - 1] = b'\n';
+    w.write_all(header.as_bytes())?;
+    // Room for one more line's two whole slots past the flush mark.
+    let mut out = vec![0u8; WRITE_CHUNK + 2 * SLOT];
+    let mut len = 0;
+    let mut rows = vec![[0u8; SLOT]; a.n_rows()];
+    let mut digits = [0u8; SLOT];
     for c in 0..a.n_cols() {
-        let rows = a.col(c);
-        if rows.is_empty() {
+        let col = a.col(c);
+        if col.is_empty() {
             continue;
         }
-        let tail = format_decimal(&mut line, end - 1, c as u64 + 1) - 1;
-        line[tail] = b' ';
-        for &r in rows {
-            let start = format_decimal(&mut line, tail, r as u64 + 1);
-            out.extend_from_slice(&line[start..]);
-            if out.len() >= WRITE_CHUNK {
-                w.write_all(&out)?;
-                out.clear();
+        digits[SLOT - 1] = b'\n';
+        let start = format_decimal(&mut digits, SLOT - 1, c as u64 + 1) - 1;
+        digits[start] = b' ';
+        let tail = slot(&digits[start..]);
+        for &r in col {
+            let row = &mut rows[r as usize];
+            if row[SLOT - 1] == 0 {
+                let start = format_decimal(&mut digits, SLOT, r as u64 + 1);
+                *row = slot(&digits[start..]);
+            }
+            for token in [&*row, &tail] {
+                out[len..len + SLOT].copy_from_slice(token);
+                len += token[SLOT - 1] as usize;
+            }
+            if len >= WRITE_CHUNK {
+                w.write_all(&out[..len])?;
+                len = 0;
             }
         }
     }
-    w.write_all(&out)?;
+    w.write_all(&out[..len])?;
     w.flush()
 }
 

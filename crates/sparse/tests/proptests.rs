@@ -35,6 +35,28 @@ fn arb_perm(n: usize) -> impl Strategy<Value = Permutation> {
     })
 }
 
+/// Strategy: a random symmetric pattern (as [`arb_sym_matrix`]) and a
+/// random relabelling of its vertices.
+fn arb_sym_matrix_and_perm(
+    max_n: usize,
+    max_edges: usize,
+) -> impl Strategy<Value = (CscMatrix, Permutation)> {
+    arb_sym_matrix(max_n, max_edges).prop_flat_map(|m| {
+        let n = m.n_cols();
+        (Just(m), arb_perm(n))
+    })
+}
+
+/// `PAPᵀ` built by `CooBuilder` from every entry `(r, c)` relabelled to
+/// `(p[r], p[c])`: an oracle for `permute_sym` that shares none of its code.
+fn coo_relabelled(m: &CscMatrix, p: &Permutation) -> CscMatrix {
+    let mut b = CooBuilder::new(m.n_rows(), m.n_cols());
+    for (r, c) in m.iter_entries() {
+        b.push(p.new_of(r), p.new_of(c));
+    }
+    b.build()
+}
+
 /// Random `(row, col)` entries rendered as Matrix Market text in one of
 /// the variants the reader accepts — `general` (possibly rectangular) or
 /// `symmetric` storing the lower, upper or a mix of both triangles;
@@ -177,6 +199,16 @@ proptest! {
         d1.sort_unstable();
         d2.sort_unstable();
         prop_assert_eq!(d1, d2);
+    }
+
+    #[test]
+    fn permute_sym_matches_a_coo_build_of_the_relabelled_entries(
+        case in arb_sym_matrix_and_perm(25, 40)
+    ) {
+        // Few edges for up to 25 vertices: isolated vertices are common,
+        // diagonal entries come from `(v, v)` pairs, and n = 1 occurs.
+        let (m, p) = case;
+        prop_assert_eq!(m.permute_sym(&p), coo_relabelled(&m, &p));
     }
 
     #[test]
@@ -373,4 +405,51 @@ proptest! {
         }
         prop_assert_eq!(total, m.nnz());
     }
+}
+
+#[test]
+fn permute_sym_matches_the_coo_oracle_on_every_relabelling_of_small_patterns() {
+    // n = 1 with and without its diagonal entry, and a 6-vertex pattern
+    // holding a path 0-1-2, an edge 3-4, diagonal entries on 1 and 3, and
+    // an isolated vertex 5: every relabelling of each.
+    let mut patterns = vec![CscMatrix::empty(1), CscMatrix::eye(1)];
+    let mut b = CooBuilder::new(6, 6);
+    for (u, v) in [(0, 1), (1, 2), (3, 4), (1, 1), (3, 3)] {
+        b.push_sym(u, v);
+    }
+    patterns.push(b.build());
+    for m in &patterns {
+        let n = m.n_cols();
+        let mut order: Vec<Vidx> = (0..n as Vidx).collect();
+        // Heap's algorithm: each of the n! orders once.
+        let mut stack = vec![0usize; n];
+        let mut i = 0;
+        loop {
+            let p = Permutation::from_order(&order).unwrap();
+            assert_eq!(m.permute_sym(&p), coo_relabelled(m, &p), "order {order:?}");
+            while i < n && stack[i] >= i {
+                stack[i] = 0;
+                i += 1;
+            }
+            if i == n {
+                break;
+            }
+            order.swap(if i % 2 == 0 { 0 } else { stack[i] }, i);
+            stack[i] += 1;
+            i = 0;
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "structurally symmetric")]
+fn permute_sym_panics_on_an_unsymmetric_pattern() {
+    // Column 0 holds rows 1 and 2, column 2 holds row 0, and no entry has
+    // its mirror: debug builds fail the symmetry assertion, release builds
+    // the O(n) check that each new column received its old column's count.
+    let mut b = CooBuilder::new(3, 3);
+    for (r, c) in [(1, 0), (2, 0), (0, 2)] {
+        b.push(r, c);
+    }
+    let _ = b.build().permute_sym(&Permutation::identity(3));
 }

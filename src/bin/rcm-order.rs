@@ -11,9 +11,9 @@
 //!                          bit-identical, parity with `repro backends`)
 //!   --compress             order through supervariable compression
 //!                          (--method rcm only, not composable with
-//!                          --backend or --start-node — the quotient
-//!                          pipeline is sequential George-Liu; reports
-//!                          the ratio)
+//!                          --backend, --start-node or a set
+//!                          RCM_START_NODE — the quotient pipeline is
+//!                          sequential George-Liu; reports the ratio)
 //!   --cache                give the warm engine a pattern-fingerprint
 //!                          ordering cache (--method rcm only): repeated
 //!                          patterns across the input list are served in
@@ -54,8 +54,8 @@
 
 use distributed_rcm::core::driver::StartNode;
 use distributed_rcm::core::{
-    cuthill_mckee, ordering_wavefront, rcm_globalsort, rcm_nosort, thread_counts_from_env,
-    CacheOutcome, EngineConfig, OrderingEngine,
+    cuthill_mckee, rcm_globalsort, rcm_nosort, thread_counts_from_env, CacheOutcome, EngineConfig,
+    OrderingEngine,
 };
 use distributed_rcm::dist::HybridConfig;
 use distributed_rcm::prelude::*;
@@ -84,7 +84,8 @@ fn usage() -> ! {
          \x20                [--split-components]\n\
          \x20                [--start-node george-liu|bi-criteria|min-degree|fixed:N]\n\
          \x20                [--scale f] [--write-perm FILE] [--write-matrix FILE]\n\
-         \x20                [--simulate CORES,CORES,...] [--threads T]"
+         \x20                [--simulate CORES,CORES,...] [--threads T]\n\
+         --compress orders with George-Liu: it rejects --start-node and RCM_START_NODE"
     );
     std::process::exit(2);
 }
@@ -255,6 +256,16 @@ fn main() {
         );
         std::process::exit(2);
     }
+    if opts.compress
+        && std::env::var("RCM_START_NODE").is_ok_and(|s| StartNode::parse(&s).is_some())
+    {
+        eprintln!(
+            "--compress does not compose with the RCM_START_NODE environment variable: \
+             the compressed quotient is ordered by the sequential George-Liu pipeline \
+             (unset RCM_START_NODE)"
+        );
+        std::process::exit(2);
+    }
     if opts.cache && opts.method != "rcm" {
         eprintln!(
             "--cache applies only to --method rcm (got {}): the pattern cache lives \
@@ -393,8 +404,10 @@ fn main() {
             q.bandwidth_before, q.bandwidth_after
         );
         println!("  profile:   {} -> {}", q.profile_before, q.profile_after);
-        let (maxw, rmsw) = ordering_wavefront(a, perm);
-        println!("  wavefront: max {maxw}, rms {rmsw:.1}");
+        println!(
+            "  wavefront: max {}, rms {:.1}",
+            q.max_wavefront, q.rms_wavefront
+        );
 
         if let Some(path) = &opts.write_perm {
             let mut text = String::with_capacity(perm.len() * 8);

@@ -48,6 +48,113 @@ fn orders_a_suite_matrix_and_writes_outputs() {
 }
 
 #[test]
+fn write_matrix_is_the_mirrored_permuted_input_and_the_printed_metrics_match_it() {
+    use distributed_rcm::sparse::{bandwidth, envelope_size, matrix_bandwidth, mm, CooBuilder};
+
+    // A `coordinate pattern symmetric` file storing the lower triangle, in
+    // no particular order, 1-based: diagonal entries on 2, 5 and 11, and
+    // vertex 7 isolated.
+    let n = 12;
+    let lower: [(u32, u32); 17] = [
+        (4, 1),
+        (9, 1),
+        (2, 2),
+        (9, 4),
+        (12, 4),
+        (6, 2),
+        (10, 2),
+        (5, 5),
+        (10, 6),
+        (8, 3),
+        (11, 3),
+        (11, 11),
+        (11, 8),
+        (12, 9),
+        (10, 5),
+        (5, 3),
+        (12, 10),
+    ];
+    let diagonal = lower.iter().filter(|(r, c)| r == c).count();
+    let mirrored_nnz = 2 * lower.len() - diagonal;
+    let mut text = format!(
+        "%%MatrixMarket matrix coordinate pattern symmetric\n{n} {n} {}\n",
+        lower.len()
+    );
+    for (r, c) in lower {
+        text.push_str(&format!("{r} {c}\n"));
+    }
+    let dir = std::env::temp_dir().join("rcm-order-test-write-matrix");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (input, perm_path, mtx_path) = (
+        dir.join("input.mtx"),
+        dir.join("perm.txt"),
+        dir.join("reordered.mtx"),
+    );
+    std::fs::write(&input, text).unwrap();
+    let out = rcm_order()
+        .arg(&input)
+        .arg("--write-perm")
+        .arg(&perm_path)
+        .arg("--write-matrix")
+        .arg(&mtx_path)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // The input and PAPᵀ, both built by CooBuilder from the stored entries.
+    let labels: Vec<u32> = std::fs::read_to_string(&perm_path)
+        .unwrap()
+        .lines()
+        .map(|l| l.parse().unwrap())
+        .collect();
+    let perm = distributed_rcm::sparse::Permutation::from_new_of_old(labels).unwrap();
+    let (mut a, mut pap) = (CooBuilder::new(n, n), CooBuilder::new(n, n));
+    for (r, c) in lower {
+        a.push_sym(r - 1, c - 1);
+        pap.push_sym(perm.new_of(r - 1), perm.new_of(c - 1));
+    }
+    let (a, pap) = (a.build(), pap.build());
+
+    // Banner, size line with both triangles, and the entries of PAPᵀ.
+    let written = std::fs::read_to_string(&mtx_path).unwrap();
+    let mut lines = written.lines();
+    assert_eq!(
+        lines.next(),
+        Some("%%MatrixMarket matrix coordinate pattern general")
+    );
+    let size = format!("{n} {n} {mirrored_nnz}");
+    assert_eq!(
+        lines.find(|l| !l.starts_with('%')),
+        Some(size.as_str()),
+        "{written}"
+    );
+    assert_eq!(mm::read_pattern_file(&mtx_path).unwrap(), pap);
+
+    // The printed metrics are those of that matrix.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (maxw, rmsw) = bandwidth::wavefront(&pap);
+    for line in [
+        format!(
+            "  bandwidth: {} -> {}",
+            matrix_bandwidth(&a),
+            matrix_bandwidth(&pap)
+        ),
+        format!(
+            "  profile:   {} -> {}",
+            envelope_size(&a),
+            envelope_size(&pap)
+        ),
+        format!("  wavefront: max {maxw}, rms {rmsw:.1}"),
+    ] {
+        assert!(stdout.lines().any(|l| l == line), "{line:?} in {stdout}");
+    }
+}
+
+#[test]
 fn sloan_method_and_simulation_run() {
     let out = rcm_order()
         .args([
@@ -345,6 +452,7 @@ fn compress_flag_reports_compression_stats() {
             "--write-perm",
             perm_path.to_str().unwrap(),
         ])
+        .env_remove("RCM_START_NODE")
         .output()
         .expect("binary runs");
     assert!(
@@ -378,6 +486,7 @@ fn compress_flag_rejects_backend_selection() {
             "--backend",
             "pooled",
         ])
+        .env_remove("RCM_START_NODE")
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -402,6 +511,7 @@ fn compress_flag_rejects_start_node_selection() {
                 "--start-node",
                 strategy,
             ])
+            .env_remove("RCM_START_NODE")
             .output()
             .unwrap();
         assert_eq!(out.status.code(), Some(2), "{strategy}");
@@ -411,6 +521,36 @@ fn compress_flag_rejects_start_node_selection() {
             "{strategy}: {stderr}"
         );
     }
+}
+
+#[test]
+fn compress_flag_rejects_the_start_node_environment_variable() {
+    // Like --start-node, a recognized RCM_START_NODE would be ignored and
+    // a George-Liu permutation written; an unrecognized value selects
+    // nothing and is ignored everywhere.
+    for strategy in ["min-degree", "fixed:3", "george-liu"] {
+        let out = rcm_order()
+            .args(["suite:nd24k", "--scale", "0.005", "--compress"])
+            .env("RCM_START_NODE", strategy)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{strategy}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--compress does not compose with the RCM_START_NODE"),
+            "{strategy}: {stderr}"
+        );
+    }
+    let out = rcm_order()
+        .args(["suite:nd24k", "--scale", "0.005", "--compress"])
+        .env("RCM_START_NODE", "no-such-strategy")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
@@ -424,6 +564,7 @@ fn compress_flag_rejects_non_rcm_methods() {
             "sloan",
             "--compress",
         ])
+        .env_remove("RCM_START_NODE")
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -722,6 +863,7 @@ fn split_components_flag_rejects_compress() {
             "--compress",
             "--split-components",
         ])
+        .env_remove("RCM_START_NODE")
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
