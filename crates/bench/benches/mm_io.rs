@@ -1,10 +1,12 @@
 //! Criterion benchmarks of the layers of an `rcm-order` request around the
 //! ordering itself, on an in-memory ldoor-class `coordinate pattern
 //! symmetric` file (the shuffled ldoor mesh at scale 0.05, ~13 MB of text):
-//! the Matrix Market read (byte scanner and counting CSC build), the
-//! counting-scatter `permute_sym` that builds the reordered matrix, the
-//! digit-cached write of it, the O(nnz) symmetry check and the one-pass
-//! quality report (bandwidth, profile and wavefront).
+//! the Matrix Market read of that text as a stream (`read_pattern`, one
+//! range on the calling thread) and of a temp-file copy of it
+//! (`read_pattern_file`, line-aligned ranges parsed side by side, one per
+//! core), the counting-scatter `permute_sym` that builds the reordered
+//! matrix, the digit-cached write of it, the O(nnz) symmetry check and the
+//! one-pass quality report (bandwidth, profile and wavefront).
 
 use std::io::Write;
 
@@ -43,6 +45,13 @@ fn bench_mm_io(c: &mut Criterion) {
     group.bench_function("read_pattern", |b| {
         b.iter(|| mm::read_pattern(text.as_slice()).unwrap().nnz())
     });
+    let file = std::env::temp_dir().join(format!("rcm-bench-mm_io-{}.mtx", std::process::id()));
+    std::fs::write(&file, &text).unwrap();
+    assert_eq!(mm::read_pattern_file(&file).unwrap(), a);
+    group.bench_function("read_pattern_file", |b| {
+        b.iter(|| mm::read_pattern_file(&file).unwrap().nnz())
+    });
+    std::fs::remove_file(&file).unwrap();
     let mut out = Vec::new();
     mm::write_pattern(&reordered, &mut out).unwrap();
     group.throughput(Throughput::Bytes(out.len() as u64));

@@ -5,13 +5,27 @@
 //! and `general` or `symmetric` symmetry. Values are discarded when reading
 //! into a pattern matrix; [`read_numeric`] keeps them.
 //!
-//! The readers stream. A byte scanner walks the input through one fixed
-//! 64 KiB buffer and parses indices by hand; entries land in a buffer sized
-//! once from the header's nnz, capped by what the input can hold (a quarter
-//! of the file length for [`read_pattern_file`]), so a header that declares
-//! more entries than the file holds costs nothing. Pattern entries then go
-//! through one counting CSC build; a `symmetric` file stores each entry
-//! once and is mirrored inside that build.
+//! The readers stream. A byte scanner walks its input through one fixed
+//! 64 KiB buffer and parses indices by hand. [`read_pattern_file`] and
+//! [`read_symmetric_pattern_file`] read the header of a regular file, then
+//! split the rest into line-aligned byte ranges, one per available core
+//! but no smaller than 128 KiB (so a file under 256 KiB is one range),
+//! each streamed by its own scanner over positioned reads; the calling
+//! thread parses the first. A pipe or other non-regular file, and any
+//! [`read_pattern`] stream, is one range on the calling thread.
+//!
+//! A range keeps its entries as column runs (the rows, and one head per
+//! column) while they arrive column-major with strictly increasing rows,
+//! in the lower triangle for a `symmetric` file: the order of every file
+//! written from a CSC matrix, [`write_pattern`]'s included. Such a `general`
+//! file's rows are the matrix's row indices as they are; a `symmetric` one
+//! is mirrored by threads that each fill a block of columns, with no sort.
+//! Any other order turns the range into an entry buffer, and the pattern
+//! goes through one counting CSC build instead. Every buffer of a read,
+//! sized from the header's nnz capped by what its bytes can hold, is
+//! allocated on the calling thread, so a header that declares more entries
+//! than the file holds costs nothing. A ranged read that meets any error
+//! reads the file again serially, so every message is the serial reader's.
 //!
 //! Lines end in `\n`; a `\r` before it is whitespace, as are spaces, tabs,
 //! vertical tabs and form feeds between tokens. Indices may carry a leading
@@ -58,8 +72,15 @@ impl From<std::io::Error> for MmError {
 const BUF_BYTES: usize = 1 << 16;
 
 /// Entries reserved up front when the input's length is unknown; past this
-/// the entry buffer grows as entries arrive.
+/// the entry buffers grow as entries arrive.
 const UNKNOWN_LEN_ENTRIES: usize = 1 << 20;
+
+/// The fewest bytes a range of a parallel file read gets, so a file
+/// shorter than twice this is read on the calling thread alone. On
+/// RCM-ordered ldoor patterns stored `symmetric` (2-vCPU host, in-process
+/// medians of 41 reads), two ranges read a 133 KB file in 0.58 ms against
+/// one range's 0.65-0.74 ms, and a 59 KB file in 0.28 ms against 0.17-0.25.
+const RANGE_MIN_BYTES: u64 = 1 << 17;
 
 /// Bytes [`write_pattern`] formats before handing them to the writer.
 const WRITE_CHUNK: usize = 1 << 16;
@@ -77,6 +98,7 @@ enum Symmetry {
     Symmetric,
 }
 
+#[derive(Debug)]
 struct Header {
     field: Field,
     symmetry: Symmetry,
@@ -157,6 +179,11 @@ struct Scanner<R> {
     lines_end: usize,
     end: usize,
     eof: bool,
+    /// Bytes read from `src`.
+    read: u64,
+    /// Whether `buf[end - 1]` is the `\n` added to an unterminated last
+    /// line rather than a byte of the input.
+    added_newline: bool,
 }
 
 impl<R: Read> Scanner<R> {
@@ -168,7 +195,15 @@ impl<R: Read> Scanner<R> {
             lines_end: 0,
             end: 0,
             eof: false,
+            read: 0,
+            added_newline: false,
         }
+    }
+
+    /// How many bytes of the input precede the unread part.
+    fn offset(&self) -> u64 {
+        let unread = self.end - self.pos - usize::from(self.added_newline && self.pos < self.end);
+        self.read - unread as u64
     }
 
     /// The unread whole lines, each ending in `\n`; empty only at the end
@@ -215,6 +250,7 @@ impl<R: Read> Scanner<R> {
                 if self.end > 0 {
                     self.buf[self.end] = b'\n';
                     self.end += 1;
+                    self.added_newline = true;
                 }
                 self.lines_end = self.end;
                 return Ok(());
@@ -258,7 +294,11 @@ impl<R: Read> Scanner<R> {
         loop {
             match self.src.read(&mut self.buf[at..BUF_BYTES]) {
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                r => return Ok(r?),
+                r => {
+                    let n = r?;
+                    self.read += n as u64;
+                    return Ok(n);
+                }
             }
         }
     }
@@ -344,12 +384,13 @@ fn parse_header<R: Read>(sc: &mut Scanner<R>) -> Result<Header, MmError> {
 
 /// Scan the entry lines after the header, handing each 0-based, in-bounds
 /// `(row, col)` and its value token (empty for `pattern` files) to `entry`.
-/// Fails unless exactly the header's nnz entries arrive.
+/// Returns how many entries arrived; more than the header's nnz is an
+/// error, fewer is the caller's to check ([`check_count`]).
 fn scan_entries<R: Read>(
     sc: &mut Scanner<R>,
     h: &Header,
     mut entry: impl FnMut(Vidx, Vidx, &[u8]) -> Result<(), MmError>,
-) -> Result<(), MmError> {
+) -> Result<usize, MmError> {
     let mut seen = 0usize;
     loop {
         let lines = sc.lines()?;
@@ -432,6 +473,11 @@ fn scan_entries<R: Read>(
         let n = lines.len();
         sc.consume(n);
     }
+    Ok(seen)
+}
+
+/// Fails unless exactly the header's nnz entries arrived.
+fn check_count(h: &Header, seen: usize) -> Result<(), MmError> {
     if seen != h.nnz {
         return Err(MmError::Parse(format!(
             "header declares {} entries, file has {seen}",
@@ -441,56 +487,513 @@ fn scan_entries<R: Read>(
     Ok(())
 }
 
-/// The `(row, col)` entries after the header, in a buffer sized once from
-/// the header's nnz but never beyond `max_entries`.
-fn pattern_entries<R: Read>(
-    sc: &mut Scanner<R>,
-    h: &Header,
-    max_entries: usize,
-) -> Result<Vec<(Vidx, Vidx)>, MmError> {
-    let mut entries = Vec::with_capacity(h.nnz.min(max_entries));
-    scan_entries(sc, h, |r, c, _| {
-        entries.push((r, c));
-        Ok(())
-    })?;
-    Ok(entries)
+/// Fails unless the matrix is square, as an ordering needs.
+fn check_square(h: &Header) -> Result<(), MmError> {
+    if h.n_rows != h.n_cols {
+        return Err(MmError::Parse(format!(
+            "the matrix is {}x{}; ordering needs a square matrix",
+            h.n_rows, h.n_cols
+        )));
+    }
+    Ok(())
 }
 
-/// The CSC pattern of `entries`, mirrored when the file is `symmetric`.
-fn build(h: &Header, entries: &[(Vidx, Vidx)]) -> CscMatrix {
+/// The pattern entries of one range of the input.
+///
+/// While they arrive column-major with strictly increasing rows (and, in a
+/// `symmetric` file, in the lower triangle) they are kept as column runs:
+/// `rows` in arrival order, and one head per column naming it and where
+/// its run starts in `rows`. The first entry out of that order turns the
+/// range into an entry buffer: `cols` then holds every entry's column.
+///
+/// The buffers get their capacity before the range is filled, from a bound
+/// on the entries its bytes can hold, so a range filled on a worker thread
+/// never allocates there, and nothing is sized from the header's
+/// dimensions before its entries have been read.
+struct Entries {
+    symmetric: bool,
+    sorted: bool,
+    rows: Vec<Vidx>,
+    heads: Vec<(Vidx, usize)>,
+    cols: Vec<Vidx>,
+    /// The last `(col, row)` kept in the runs.
+    last: (Vidx, Vidx),
+}
+
+impl Entries {
+    /// An empty range with room for `cap` entries as column runs. Room for
+    /// the entry buffer's columns is left to [`Entries::reserve_cols`].
+    fn new(h: &Header, cap: usize) -> Self {
+        let symmetric = h.symmetry == Symmetry::Symmetric;
+        Entries {
+            symmetric,
+            sorted: true,
+            rows: Vec::with_capacity(cap),
+            heads: Vec::with_capacity(cap.min(h.n_cols)),
+            cols: Vec::new(),
+            last: (0, 0),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, r: Vidx, c: Vidx) {
+        if self.sorted {
+            let first = self.rows.is_empty();
+            if (first || (c, r) > self.last) && !(self.symmetric && r < c) {
+                if first || c != self.last.0 {
+                    self.heads.push((c, self.rows.len()));
+                }
+                self.rows.push(r);
+                self.last = (c, r);
+                return;
+            }
+            self.unsort();
+        }
+        self.rows.push(r);
+        self.cols.push(c);
+    }
+
+    /// The column runs in column order: each column and its rows.
+    fn runs(&self) -> impl Iterator<Item = (usize, &[Vidx])> + '_ {
+        let ends = self
+            .heads
+            .iter()
+            .skip(1)
+            .map(|&(_, start)| start)
+            .chain([self.rows.len()]);
+        self.heads
+            .iter()
+            .zip(ends)
+            .map(|(&(c, start), end)| (c as usize, &self.rows[start..end]))
+    }
+
+    /// Give `cols` room for as many entries as `rows` has.
+    fn reserve_cols(&mut self) {
+        self.cols.reserve_exact(self.rows.capacity());
+    }
+
+    /// Turn the runs into an entry buffer.
+    #[cold]
+    fn unsort(&mut self) {
+        if !self.sorted {
+            return;
+        }
+        self.reserve_cols();
+        let mut cols = std::mem::take(&mut self.cols);
+        for (c, run) in self.runs() {
+            cols.extend(std::iter::repeat_n(c as Vidx, run.len()));
+        }
+        self.cols = cols;
+        self.sorted = false;
+    }
+
+    /// Every entry as `(row, col)`, once the range is an entry buffer.
+    fn pairs(&self) -> impl Iterator<Item = (Vidx, Vidx)> + Clone + '_ {
+        debug_assert!(!self.sorted);
+        self.rows.iter().copied().zip(self.cols.iter().copied())
+    }
+}
+
+/// Whether the ranges, taken in order, are one sequence of column runs.
+fn runs_in_order(parts: &[Entries]) -> bool {
+    let mut last = None;
+    for e in parts {
+        if !e.sorted {
+            return false;
+        }
+        if let Some(&(c, _)) = e.heads.first() {
+            if last.is_some_and(|l| (c, e.rows[0]) <= l) {
+                return false;
+            }
+            last = Some(e.last);
+        }
+    }
+    true
+}
+
+/// The CSC pattern of the parsed ranges, mirrored when the file is
+/// `symmetric`. Runs in order across the ranges build it directly, a
+/// mirror on `threads` threads; anything else goes through the counting
+/// build.
+fn build(h: &Header, mut parts: Vec<Entries>, threads: usize) -> CscMatrix {
+    let symmetric = h.symmetry == Symmetry::Symmetric;
+    if runs_in_order(&parts) {
+        return if symmetric {
+            mirror_runs(h.n_cols, &parts, threads)
+        } else {
+            concat_runs(h, parts)
+        };
+    }
+    for e in &mut parts {
+        e.unsort();
+    }
     CscMatrix::from_entries(
         h.n_rows,
         h.n_cols,
-        entries.iter().copied(),
-        h.symmetry == Symmetry::Symmetric,
+        parts.iter().flat_map(Entries::pairs),
+        symmetric,
     )
 }
 
-fn read_pattern_capped<R: Read>(reader: R, max_entries: usize) -> Result<CscMatrix, MmError> {
-    let mut sc = Scanner::new(reader);
-    let h = parse_header(&mut sc)?;
-    let entries = pattern_entries(&mut sc, &h, max_entries)?;
-    Ok(build(&h, &entries))
+/// A `general` file's runs in order: their rows are the matrix's row
+/// indices as they stand.
+fn concat_runs(h: &Header, parts: Vec<Entries>) -> CscMatrix {
+    let mut col_ptr = vec![0usize; h.n_cols + 1];
+    for (c, run) in parts.iter().flat_map(Entries::runs) {
+        col_ptr[c + 1] += run.len();
+    }
+    for c in 0..h.n_cols {
+        col_ptr[c + 1] += col_ptr[c];
+    }
+    let mut parts = parts.into_iter();
+    let mut row_idx = parts.next().map_or_else(Vec::new, |e| e.rows);
+    row_idx.reserve_exact(col_ptr[h.n_cols] - row_idx.len());
+    for e in parts {
+        row_idx.extend_from_slice(&e.rows);
+    }
+    row_idx.shrink_to_fit();
+    CscMatrix::from_parts(h.n_rows, h.n_cols, col_ptr, row_idx)
 }
 
-/// The most entry lines `f` can hold: each takes at least four bytes
+/// A `symmetric` file's lower-triangle runs in order, mirrored into both
+/// triangles. The columns are split into `threads` contiguous blocks that
+/// receive about equally many mirrored entries; each thread fills its
+/// block of `row_idx` (the calling thread the first). Columns come out
+/// sorted and unique, with no sort.
+///
+/// Mirrored entries are what the blocks are balanced on because they are
+/// scattered, one cache line each, while a column's own run is one copy.
+/// On a shuffled mesh a mirrored entry cost about nine times a copied one,
+/// so blocks of equal nnz left one thread with twice the other's work.
+fn mirror_runs(n: usize, parts: &[Entries], threads: usize) -> CscMatrix {
+    // Per part, how many of its entries below the diagonal lie in each row:
+    // the mirrored entries each column receives. In order, a row occurs at
+    // most once per column, so fewer than `n` times.
+    let mut below: Vec<Vec<u32>> = parts.iter().map(|_| vec![0; n]).collect();
+    std::thread::scope(|s| {
+        let mut counts = parts.iter().zip(&mut below);
+        let first = counts.next().expect("at least one part");
+        for (e, count) in counts {
+            s.spawn(move || count_below(e, count));
+        }
+        count_below(first.0, first.1);
+    });
+    // col_ptr[c + 1] counts column c, then (prefix sum) holds its end; its
+    // first n slots are the blocks' scatter cursors, shifted into column
+    // starts afterwards.
+    let mut col_ptr = vec![0usize; n + 1];
+    for count in &below {
+        for (c, &m) in count.iter().enumerate() {
+            col_ptr[c + 1] += m as usize;
+        }
+    }
+    drop(below);
+    let mirrored: usize = col_ptr.iter().sum();
+    let mut bounds = Vec::with_capacity(threads + 1);
+    let mut seen = 0;
+    for c in 0..n {
+        if seen >= mirrored / threads * bounds.len() {
+            bounds.push(c);
+            if bounds.len() == threads {
+                break;
+            }
+        }
+        seen += col_ptr[c + 1];
+    }
+    bounds.resize(threads, n);
+    bounds.push(n);
+    for (c, run) in parts.iter().flat_map(Entries::runs) {
+        col_ptr[c + 1] += run.len();
+    }
+    for c in 0..n {
+        col_ptr[c + 1] += col_ptr[c];
+    }
+    let nnz = col_ptr[n];
+    let mut row_idx = vec![0 as Vidx; nnz];
+    let mut blocks = Vec::with_capacity(threads);
+    let (mut cursors, mut out) = (&mut col_ptr[..n], &mut row_idx[..]);
+    for w in bounds.windows(2) {
+        let base = cursors.first().copied().unwrap_or(nnz);
+        let (block, rest) = std::mem::take(&mut cursors).split_at_mut(w[1] - w[0]);
+        let len = rest.first().copied().unwrap_or(nnz) - base;
+        let (block_out, rest_out) = std::mem::take(&mut out).split_at_mut(len);
+        blocks.push((w[0], base, block, block_out));
+        (cursors, out) = (rest, rest_out);
+    }
+    std::thread::scope(|s| {
+        let mut blocks = blocks.into_iter();
+        let (lo, base, cursors, out) = blocks.next().expect("one block per thread");
+        for (lo, base, cursors, out) in blocks {
+            s.spawn(move || mirror_block(parts, lo, base, cursors, out));
+        }
+        mirror_block(parts, lo, base, cursors, out);
+    });
+    col_ptr.copy_within(0..n, 1);
+    col_ptr[0] = 0;
+    CscMatrix::from_parts(n, n, col_ptr, row_idx)
+}
+
+/// Count the runs' entries below the diagonal by row.
+fn count_below(e: &Entries, count: &mut [u32]) {
+    for (c, run) in e.runs() {
+        let below = usize::from(run.first() == Some(&(c as Vidx)));
+        for &r in &run[below..] {
+            count[r as usize] += 1;
+        }
+    }
+}
+
+/// Fill columns `lo..lo + cursors.len()` of the mirrored pattern: `out`
+/// holds them from entry `base` on, and each column's cursor starts at its
+/// first entry. Walking the source columns `c` in ascending order, each
+/// entry `(r, c)` below the diagonal adds row `c` to column `r`, and then
+/// column `c`'s own run follows the rows (all below `c`) it received.
+fn mirror_block(
+    parts: &[Entries],
+    lo: usize,
+    base: usize,
+    cursors: &mut [usize],
+    out: &mut [Vidx],
+) {
+    let hi = lo + cursors.len();
+    for (c, run) in parts.iter().flat_map(Entries::runs) {
+        if c >= hi {
+            break;
+        }
+        let below = if c < lo {
+            run.partition_point(|&r| (r as usize) < lo)
+        } else {
+            usize::from(run.first() == Some(&(c as Vidx)))
+        };
+        for &r in &run[below..] {
+            let Some(cursor) = cursors.get_mut(r as usize - lo) else {
+                break;
+            };
+            out[*cursor - base] = c as Vidx;
+            *cursor += 1;
+        }
+        if c >= lo {
+            let cursor = &mut cursors[c - lo];
+            out[*cursor - base..][..run.len()].copy_from_slice(run);
+            *cursor += run.len();
+        }
+    }
+}
+
+/// Read a whole stream as one range on the calling thread; `max_entries`
+/// caps the capacity reserved up front.
+fn read_stream<R: Read>(
+    reader: R,
+    max_entries: usize,
+    square: bool,
+) -> Result<(Header, CscMatrix), MmError> {
+    let mut sc = Scanner::new(reader);
+    let h = parse_header(&mut sc)?;
+    if square {
+        check_square(&h)?;
+    }
+    let mut entries = Entries::new(&h, h.nnz.min(max_entries));
+    let seen = scan_entries(&mut sc, &h, |r, c, _| {
+        entries.push(r, c);
+        Ok(())
+    })?;
+    check_count(&h, seen)?;
+    let matrix = build(&h, vec![entries], 1);
+    Ok((h, matrix))
+}
+
+/// The most entry lines `bytes` bytes can hold: each takes at least four
 /// (`1 1\n`), the last one three.
-fn max_entries(f: &File) -> Result<usize, MmError> {
+fn entries_in(bytes: u64) -> usize {
+    usize::try_from(bytes / 4 + 1).unwrap_or(usize::MAX)
+}
+
+/// How many ranges [`read_pattern_file`] splits a regular file of `len`
+/// bytes into: one per available core, each at least `RANGE_MIN_BYTES`.
+fn default_ranges(len: u64) -> usize {
+    let most = usize::try_from(len / RANGE_MIN_BYTES).unwrap_or(usize::MAX);
+    if most < 2 {
+        return 1;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    most.min(cores)
+}
+
+/// Read the pattern of the file at `path`. A regular file is parsed over
+/// `ranges` line-aligned byte ranges (`None`: as many as
+/// [`default_ranges`] gives for its length); anything else streams as one
+/// range on the calling thread. With `square`, a non-square header is an
+/// error before any entry is read.
+fn read_file(
+    path: &Path,
+    ranges: Option<usize>,
+    square: bool,
+) -> Result<(Header, CscMatrix), MmError> {
+    let f = File::open(path)?;
     let meta = f.metadata()?;
     if !meta.is_file() {
-        return Ok(UNKNOWN_LEN_ENTRIES);
+        return read_stream(f, UNKNOWN_LEN_ENTRIES, square);
     }
-    Ok(usize::try_from(meta.len() / 4 + 1).unwrap_or(usize::MAX))
+    let len = meta.len();
+    let ranges = ranges.unwrap_or_else(|| default_ranges(len));
+    #[cfg(unix)]
+    return ranged::read(&f, len, ranges, square);
+    #[cfg(not(unix))]
+    {
+        let _ = ranges;
+        read_stream(f, entries_in(len), square)
+    }
+}
+
+/// Parallel reads of a regular file's entries over positioned reads.
+#[cfg(unix)]
+mod ranged {
+    use std::fs::File;
+    use std::io::{ErrorKind, Read};
+    use std::os::unix::fs::FileExt;
+
+    use super::{
+        build, check_count, check_square, entries_in, parse_header, read_stream, scan_entries,
+        Entries, Header, MmError, Scanner,
+    };
+    use crate::csc::CscMatrix;
+
+    /// The bytes `pos..end` of a file, read with positioned reads, so that
+    /// ranges of one file can be read side by side.
+    struct At<'a> {
+        file: &'a File,
+        pos: u64,
+        end: u64,
+    }
+
+    impl Read for At<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let want = usize::try_from(self.end - self.pos).map_or(buf.len(), |r| r.min(buf.len()));
+            let n = self.file.read_at(&mut buf[..want], self.pos)?;
+            self.pos += n as u64;
+            Ok(n)
+        }
+    }
+
+    /// Read `f` (`len` bytes) over `ranges` line-aligned ranges. Any error
+    /// past the header reads the file again serially, which reports it the
+    /// way a stream does.
+    pub(super) fn read(
+        f: &File,
+        len: u64,
+        ranges: usize,
+        square: bool,
+    ) -> Result<(Header, CscMatrix), MmError> {
+        let whole = || At {
+            file: f,
+            pos: 0,
+            end: len,
+        };
+        let mut sc = Scanner::new(whole());
+        let h = parse_header(&mut sc)?;
+        if square {
+            check_square(&h)?;
+        }
+        let parts = line_bounds(f, sc.offset(), len, ranges)
+            .map_err(MmError::from)
+            .and_then(|bounds| scan(f, &h, &bounds));
+        match parts {
+            Ok(parts) => {
+                let matrix = build(&h, parts, ranges);
+                Ok((h, matrix))
+            }
+            Err(_) => read_stream(whole(), entries_in(len), square),
+        }
+    }
+
+    /// Bounds of `ranges` byte ranges that cover `start..len` in near-equal
+    /// parts, each moved forward to the start of a line.
+    fn line_bounds(f: &File, start: u64, len: u64, ranges: usize) -> std::io::Result<Vec<u64>> {
+        let mut bounds = Vec::with_capacity(ranges + 1);
+        bounds.push(start);
+        let mut buf = [0u8; 512];
+        for i in 1..ranges {
+            let prev = bounds[i - 1];
+            let target = start + ((len - start) as u128 * i as u128 / ranges as u128) as u64;
+            if target <= prev {
+                bounds.push(prev);
+                continue;
+            }
+            // A line starts at `target` if the byte before it ends one.
+            let mut at = At {
+                file: f,
+                pos: target - 1,
+                end: len,
+            };
+            let bound = loop {
+                let n = match at.read(&mut buf) {
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    r => r?,
+                };
+                if n == 0 {
+                    break len;
+                }
+                if let Some(k) = buf[..n].iter().position(|&b| b == b'\n') {
+                    break at.pos - n as u64 + k as u64 + 1;
+                }
+            };
+            bounds.push(bound);
+        }
+        bounds.push(len);
+        Ok(bounds)
+    }
+
+    /// Parse the ranges between consecutive `bounds`, the first on the
+    /// calling thread and each other on a thread of its own. Scanners and
+    /// entry buffers are made here and lent to the workers, so they
+    /// allocate nothing.
+    fn scan(f: &File, h: &Header, bounds: &[u64]) -> Result<Vec<Entries>, MmError> {
+        let mut parts: Vec<(Scanner<At<'_>>, Entries)> = bounds
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| {
+                let cap = h.nnz.min(entries_in(w[1] - w[0]));
+                let range = At {
+                    file: f,
+                    pos: w[0],
+                    end: w[1],
+                };
+                let mut entries = Entries::new(h, cap);
+                if i > 0 {
+                    entries.reserve_cols();
+                }
+                (Scanner::new(range), entries)
+            })
+            .collect();
+        let parse = |(sc, entries): &mut (Scanner<At<'_>>, Entries)| {
+            scan_entries(sc, h, |r, c, _| {
+                entries.push(r, c);
+                Ok(())
+            })
+        };
+        let seen = std::thread::scope(|s| {
+            let (first, rest) = parts.split_first_mut().expect("at least one range");
+            let workers: Vec<_> = rest.iter_mut().map(|p| s.spawn(move || parse(p))).collect();
+            let mut seen = parse(first);
+            for w in workers {
+                let more = w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                seen = seen.and_then(|a| Ok(a + more?));
+            }
+            seen
+        })?;
+        check_count(h, seen)?;
+        Ok(parts.into_iter().map(|(_, entries)| entries).collect())
+    }
 }
 
 /// Read a pattern [`CscMatrix`] from Matrix Market text. Symmetric files are
 /// expanded to both triangles; numeric values (if any) are ignored.
 ///
-/// The input's length is unknown here, so the entry buffer starts at no
-/// more than 2²⁰ entries and grows past that; [`read_pattern_file`] sizes
-/// it exactly.
+/// The input's length is unknown here, so the entry buffers start with
+/// room for no more than 2²⁰ entries and grow past that;
+/// [`read_pattern_file`] sizes them from the file's length.
 pub fn read_pattern<R: Read>(reader: R) -> Result<CscMatrix, MmError> {
-    read_pattern_capped(reader, UNKNOWN_LEN_ENTRIES)
+    read_stream(reader, UNKNOWN_LEN_ENTRIES, false).map(|(_, m)| m)
 }
 
 /// Read a numeric [`CsrNumeric`] from Matrix Market text (pattern files get
@@ -501,7 +1004,7 @@ pub fn read_numeric<R: Read>(reader: R) -> Result<CsrNumeric, MmError> {
     let symmetric = h.symmetry == Symmetry::Symmetric;
     let per_entry = if symmetric { 2 } else { 1 };
     let mut triplets = Vec::with_capacity(h.nnz.min(UNKNOWN_LEN_ENTRIES) * per_entry);
-    scan_entries(&mut sc, &h, |r, c, value| {
+    let seen = scan_entries(&mut sc, &h, |r, c, value| {
         let v = match h.field {
             Field::Pattern => 1.0,
             _ => std::str::from_utf8(value)
@@ -515,15 +1018,16 @@ pub fn read_numeric<R: Read>(reader: R) -> Result<CsrNumeric, MmError> {
         }
         Ok(())
     })?;
+    check_count(&h, seen)?;
     Ok(CsrNumeric::from_triplets(h.n_rows, h.n_cols, triplets))
 }
 
-/// Convenience: read a pattern matrix from a file path. The entry buffer is
-/// sized once, from the header's nnz capped by the file's length.
+/// Convenience: read a pattern matrix from a file path. A regular file is
+/// parsed on up to one thread per available core (see the module docs);
+/// every buffer is sized from the header's nnz, capped by the file's
+/// length.
 pub fn read_pattern_file(path: impl AsRef<Path>) -> Result<CscMatrix, MmError> {
-    let f = File::open(path)?;
-    let cap = max_entries(&f)?;
-    read_pattern_capped(f, cap)
+    read_file(path.as_ref(), None, false).map(|(_, m)| m)
 }
 
 /// A square pattern made structurally symmetric for ordering.
@@ -537,32 +1041,22 @@ pub struct SymmetricPattern {
 }
 
 /// Read a Matrix Market file as the structurally symmetric pattern an
-/// ordering needs. Non-square input is a parse error. A `symmetric` file
-/// is symmetric by construction; a `general` one whose pattern is not gets
-/// `A + Aᵀ` through the same counting build, and says so in
-/// [`SymmetricPattern::symmetrized`].
+/// ordering needs, the way [`read_pattern_file`] reads it. Non-square input
+/// is a parse error. A `symmetric` file is symmetric by construction; a
+/// `general` one whose pattern is not gets `A + Aᵀ` through the counting
+/// build, and says so in [`SymmetricPattern::symmetrized`].
 pub fn read_symmetric_pattern_file(path: impl AsRef<Path>) -> Result<SymmetricPattern, MmError> {
-    let f = File::open(path)?;
-    let cap = max_entries(&f)?;
-    let mut sc = Scanner::new(f);
-    let h = parse_header(&mut sc)?;
-    if h.n_rows != h.n_cols {
-        return Err(MmError::Parse(format!(
-            "the matrix is {}x{}; ordering needs a square matrix",
-            h.n_rows, h.n_cols
-        )));
-    }
-    let entries = pattern_entries(&mut sc, &h, cap)?;
-    let matrix = build(&h, &entries);
+    let (h, matrix) = read_file(path.as_ref(), None, true)?;
     if h.symmetry == Symmetry::Symmetric || matrix.is_symmetric() {
         return Ok(SymmetricPattern {
             matrix,
             symmetrized: false,
         });
     }
-    drop(matrix);
+    let n = matrix.n_cols();
+    let entries = (0..n).flat_map(|c| matrix.col(c).iter().map(move |&r| (r, c as Vidx)));
     Ok(SymmetricPattern {
-        matrix: CscMatrix::from_entries(h.n_rows, h.n_cols, entries.iter().copied(), true),
+        matrix: CscMatrix::from_entries(n, n, entries, true),
         symmetrized: true,
     })
 }
@@ -655,6 +1149,7 @@ pub fn write_pattern_file(a: &CscMatrix, path: impl AsRef<Path>) -> std::io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::Strategy;
 
     const SYMMETRIC_SAMPLE: &str = "\
 %%MatrixMarket matrix coordinate pattern symmetric
@@ -1075,6 +1570,14 @@ mod tests {
             read_symmetric_pattern_file(&rect),
             Err(MmError::Parse(_))
         ));
+        for ranges in [1, 3] {
+            assert_eq!(
+                read_file(&rect, Some(ranges), true)
+                    .unwrap_err()
+                    .to_string(),
+                "Matrix Market parse error: the matrix is 2x3; ordering needs a square matrix"
+            );
+        }
         // One-sided general input gets A + Aᵀ and says so.
         let one_sided = temp_file(
             "one-sided.mtx",
@@ -1119,5 +1622,168 @@ mod tests {
         let mut buf = Vec::new();
         write_pattern(&m, &mut buf).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), expected);
+    }
+
+    /// Matrix Market text for random entries in one of the layouts the
+    /// readers accept, and the matrix `CooBuilder` makes of them: a
+    /// `general` (possibly rectangular or empty) or `symmetric` file storing
+    /// the lower, upper or a mix of both triangles, with diagonal entries;
+    /// lines in column-major order (often without duplicates, so that every
+    /// range stays in column runs) or shuffled, with duplicates; `%`
+    /// comments and blank lines between entries, CRLF, `+` signs, tabs,
+    /// extra tokens and no final newline.
+    fn arb_layout(max_n: usize, max_entries: usize) -> impl Strategy<Value = (String, CscMatrix)> {
+        (0..=max_n, 0..=max_n, 0..=max_entries).prop_perturb(|(rows, cols, m), mut rng| {
+            let mut pick = |k: usize| (rng.next_u64() % k as u64) as usize;
+            let storage = ["general", "lower", "upper", "mixed"][pick(4)];
+            let symmetric = storage != "general";
+            let cols = if symmetric { rows } else { cols };
+            let m = if rows == 0 || cols == 0 { 0 } else { m };
+            let mut b = crate::coo::CooBuilder::new(rows, cols);
+            let mut entries = Vec::new();
+            for _ in 0..m {
+                let (mut r, mut c) = (pick(rows), pick(cols));
+                if symmetric && pick(6) == 0 {
+                    c = r;
+                }
+                let lower = match storage {
+                    "lower" => true,
+                    "upper" => false,
+                    _ => pick(2) == 0,
+                };
+                if symmetric && ((r > c && !lower) || (r < c && lower)) {
+                    std::mem::swap(&mut r, &mut c);
+                }
+                entries.push((r, c));
+                if pick(10) == 0 {
+                    entries.push((r, c));
+                }
+            }
+            if pick(3) > 0 {
+                entries.sort_by_key(|&(r, c)| (c, r));
+                if pick(4) > 0 {
+                    entries.dedup();
+                }
+            }
+            let field = ["pattern", "real", "integer"][pick(3)];
+            let newline = ["\n", "\r\n"][pick(2)];
+            let mut body = String::new();
+            for &(r, c) in &entries {
+                if symmetric {
+                    b.push_sym(r as Vidx, c as Vidx);
+                } else {
+                    b.push(r as Vidx, c as Vidx);
+                }
+                match pick(10) {
+                    0 => body.push_str(&format!("% between entries{newline}")),
+                    1 => body.push_str(&format!(" \t{newline}")),
+                    _ => {}
+                }
+                let lead = ["", "", " ", "\t"][pick(4)];
+                let sep = [" ", " ", "\t", " \t "][pick(4)];
+                let plus = ["", "", "", "+"][pick(4)];
+                body.push_str(&format!("{lead}{plus}{}{sep}{plus}{}", r + 1, c + 1));
+                match field {
+                    "real" => {
+                        body.push_str(&format!("{sep}{}", ["1.5", "-2e-3", "+4.25"][pick(3)]))
+                    }
+                    "integer" => body.push_str(&format!("{sep}{}", ["-7", "3", "+12"][pick(3)])),
+                    _ => {}
+                }
+                body.push_str(["", "", "", " 9 extra"][pick(4)]);
+                body.push_str(newline);
+            }
+            if pick(4) == 0 {
+                body.truncate(body.trim_end().len());
+            }
+            let symmetry = if symmetric { "symmetric" } else { "general" };
+            let text = format!(
+                "%%MatrixMarket matrix coordinate {field} {symmetry}{newline}% generated{newline}\
+                 {rows} {cols} {}{newline}{body}",
+                entries.len()
+            );
+            (text, b.build())
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+        #[test]
+        fn ranged_file_reads_match_the_stream_reader_and_the_builder(
+            case in arb_layout(25, 80)
+        ) {
+            let (text, expected) = case;
+            assert_eq!(read_pattern(text.as_bytes()).unwrap(), expected, "{text}");
+            let path = temp_file("ranged-equivalence.mtx", &text);
+            for ranges in 1..=4 {
+                let (_, m) = read_file(&path, Some(ranges), false).unwrap();
+                assert_eq!(m, expected, "{ranges} ranges over\n{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn ranged_file_reads_report_the_stream_readers_errors() {
+        let mut cases: Vec<String> = [
+            "%%NotMatrixMarket nothing\n1 1 0\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 3\n1 1\n2 2\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n0 1\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 0\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 3\n",
+            "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 3\n",
+            "%%MatrixMarket matrix array real general\n2 2\n1.0\n0.0\n0.0\n1.0\n",
+            "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1.0 0.0\n",
+            "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+            "%%MatrixMarket matrix coordinate complex hermitian\n2 2 1\n2 1 1.0 0.0\n",
+            "%%MatrixMarket matrix coordinate\n1 1 0\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1 9\n1 1\n",
+            "%%MatrixMarket matrix coordinate pattern general\nx y z\n",
+            "%%MatrixMarket matrix coordinate pattern general\n-2 2 1\n1 1\n",
+            "%%MatrixMarket matrix coordinate pattern general\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1000000000000\n1 1\n",
+            "%%MatrixMarket matrix coordinate pattern general\n4294967296 2 1\n1 1\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 4294967296 1\n1 1\n",
+            "%%MatrixMarket matrix coordinate real general\n99999999999999999999 2 1\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate pattern symmetric\n2 3 1\n1 3\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n2 2\n",
+            "",
+            // The largest dimensions: nothing is sized from them before the
+            // entries are read.
+            "%%MatrixMarket matrix coordinate pattern symmetric\n4294967295 4294967295 1\n1 x\n",
+            "%%MatrixMarket matrix coordinate pattern general\n4294967295 4294967295 2\n2 1\n",
+        ]
+        .map(String::from)
+        .into();
+        for entry in ["1x 2", "1 2x", "1", "++1 2", "1 -2", "1 +", "a b", "1,2"] {
+            cases.push(format!(
+                "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n{entry}\n"
+            ));
+        }
+        cases.push(format!(
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2{}\n",
+            " ".repeat(BUF_BYTES)
+        ));
+        // Errors past the first range: entry numbers and counts are the
+        // whole file's.
+        let (text, _) = banded_text(3_000);
+        let bad_late = text.replacen("2990 2990\n", "2990 x\n", 1);
+        assert_ne!(bad_late, text);
+        let one_short = text.replacen("\n2999 2999\n", "\n", 1);
+        let one_over = format!("{text}1 1\n");
+        cases.extend([bad_late, one_short, one_over]);
+        for (k, text) in cases.iter().enumerate() {
+            let expected = read_pattern(text.as_bytes()).unwrap_err().to_string();
+            let path = temp_file(&format!("ranged-error-{k}.mtx"), text);
+            for ranges in [1, 3] {
+                let got = read_file(&path, Some(ranges), false)
+                    .unwrap_err()
+                    .to_string();
+                assert_eq!(got, expected, "{ranges} ranges over {text:.200}");
+            }
+            assert_eq!(read_pattern_file(&path).unwrap_err().to_string(), expected);
+        }
     }
 }

@@ -739,6 +739,73 @@ fn unsymmetric_input_is_symmetrized_with_a_note() {
 }
 
 #[test]
+fn a_piped_matrix_market_stream_orders_like_the_file() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    // A symmetric pattern with scattered long edges, its lower triangle
+    // column-major, large enough that the file path reads it in parallel
+    // ranges while the pipe streams it.
+    let n = 30_000u64;
+    let mut body = String::new();
+    let mut nnz = 0;
+    for c in 1..=n {
+        let mut rows = vec![c, c + 1, c + 97, c + (c * 7919) % 1_000];
+        rows.sort_unstable();
+        rows.dedup();
+        for r in rows.into_iter().filter(|&r| r <= n) {
+            body.push_str(&format!("{r} {c}\n"));
+            nnz += 1;
+        }
+    }
+    let text = format!("%%MatrixMarket matrix coordinate pattern symmetric\n{n} {n} {nnz}\n{body}");
+    assert!(text.len() > 512 << 10, "{} bytes", text.len());
+    let dir = std::env::temp_dir().join("rcm-order-test-pipe");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (input, from_file, from_pipe) = (
+        dir.join("input.mtx"),
+        dir.join("perm-file.txt"),
+        dir.join("perm-pipe.txt"),
+    );
+    std::fs::write(&input, &text).unwrap();
+
+    let out = rcm_order()
+        .arg(&input)
+        .arg("--write-perm")
+        .arg(&from_file)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let mut child = rcm_order()
+        .arg("/dev/stdin")
+        .arg("--write-perm")
+        .arg(&from_pipe)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = child.stdin.take().unwrap();
+    let feeder = std::thread::spawn(move || stdin.write_all(text.as_bytes()));
+    let out = child.wait_with_output().unwrap();
+    feeder.join().unwrap().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        std::fs::read_to_string(&from_pipe).unwrap(),
+        std::fs::read_to_string(&from_file).unwrap()
+    );
+}
+
+#[test]
 fn reads_matrix_market_files() {
     let dir = std::env::temp_dir().join("rcm-order-test-mm");
     std::fs::create_dir_all(&dir).unwrap();
