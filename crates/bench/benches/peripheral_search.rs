@@ -13,11 +13,7 @@ use rcm_core::driver::{ExpandDirection, StartNode};
 use rcm_core::{DriverStats, EngineConfig, OrderingEngine};
 use rcm_graphgen::suite_matrix;
 
-const STRATEGIES: [StartNode; 3] = [
-    StartNode::GeorgeLiu,
-    StartNode::BiCriteria,
-    StartNode::MinDegree,
-];
+const STRATEGIES: [StartNode; 2] = [StartNode::GeorgeLiu, StartNode::MinDegree];
 
 fn bench_peripheral_search(c: &mut Criterion) {
     for class in ["nd24k", "ldoor", "Li7Nmax6"] {

@@ -19,7 +19,7 @@
 //!   service    closed-loop OrderingService: cold vs warm shards vs pattern cache
 //!   kernels    per-edge / per-element kernel microbenchmarks
 //!   components component-parallel split+schedule+stitch vs the sequential driver
-//!   startnode  start-node strategy ablation: george-liu vs bi-criteria vs min-degree
+//!   startnode  start-node strategy ablation: george-liu vs min-degree
 //!   all        everything above
 //! ```
 //!

@@ -19,7 +19,7 @@
 //! | [`throughput_table`] | warm `OrderingEngine` vs cold per-call orderings/sec |
 //! | [`service_table`] | `OrderingService` closed-loop load: cold vs warm shards vs cache |
 //! | [`components_table`] | component-parallel split+schedule+stitch vs the sequential driver |
-//! | [`startnode_table`] | start-node strategy ablation: george-liu vs bi-criteria vs min-degree |
+//! | [`startnode_table`] | start-node strategy ablation: george-liu vs min-degree |
 //! | [`kernels_table`] | per-edge / per-element kernel microbenchmarks |
 //!
 //! Absolute times come from the calibrated Edison model and will not match
@@ -808,9 +808,10 @@ pub fn throughput_measurements(cfg: &ExpConfig) -> Vec<ThroughputRow> {
 
 /// The `repro throughput` table: orderings/second, warm engine vs cold
 /// per-call construction vs warm batch, per suite class and backend. The
-/// bench tests assert warm ≥ cold on every class's pooled row (the
-/// amortization the engine exists for) and that every permutation stayed
-/// bit-identical to a fresh single-use engine's.
+/// rates are reported, not asserted; the bench tests assert that every
+/// permutation stayed bit-identical to a fresh single-use engine's, and the
+/// engine's own tests pin what warm saves (no worker spawn, no buffer
+/// growth).
 pub fn throughput_table(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "Ordering throughput — warm OrderingEngine vs cold per-call (orderings/sec)",
@@ -1005,9 +1006,10 @@ pub fn service_measurements(cfg: &ExpConfig) -> Vec<ServiceRow> {
 
 /// The `repro service` table: orderings/second through a fresh engine per
 /// job, the warm sharded service, and the pattern-cached service, plus
-/// latency percentiles under Poisson-ish arrivals. The bench tests assert
-/// cached > warm strictly on every class and that every cached permutation
-/// stayed bit-identical to the fresh ordering.
+/// latency percentiles under Poisson-ish arrivals. The rates are reported,
+/// not asserted; the bench tests assert the hit rate and that every cached
+/// permutation stayed bit-identical to the fresh ordering, and the
+/// service's own tests pin that a hit never reaches a shard.
 pub fn service_table(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "Ordering service — closed-loop load: cold vs warm shards vs pattern cache (orderings/sec)",
@@ -1187,10 +1189,9 @@ pub fn component_measurements(cfg: &ExpConfig) -> Vec<ComponentRow> {
 }
 
 /// The `repro components` table: sequential-driver vs component-parallel
-/// wall time per multi-component class and backend. The bench tests assert
-/// split ≥ sequential throughput on every pooled row (whole-component
-/// batch scheduling is what the split path exists for) and that every
-/// split ordering stayed bit-identical to the sequential driver.
+/// wall time per multi-component class and backend. The times are
+/// reported, not asserted; the bench tests assert that every split
+/// ordering stayed bit-identical to the sequential driver.
 pub fn components_table(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "Component-parallel ordering — split+schedule+stitch vs sequential driver",
@@ -1225,17 +1226,13 @@ pub fn components_table(cfg: &ExpConfig) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Start-node strategy ablation — george-liu vs bi-criteria vs min-degree
+// Start-node strategy ablation — george-liu vs min-degree
 // ---------------------------------------------------------------------------
 
-/// The three environment-selectable strategies the `repro startnode`
+/// The two environment-selectable strategies the `repro startnode`
 /// ablation compares (`Fixed` is excluded: its cost is trivially zero and
 /// its quality is whatever the caller pinned).
-pub const START_NODE_STRATEGIES: [StartNode; 3] = [
-    StartNode::GeorgeLiu,
-    StartNode::BiCriteria,
-    StartNode::MinDegree,
-];
+pub const START_NODE_STRATEGIES: [StartNode; 2] = [StartNode::GeorgeLiu, StartNode::MinDegree];
 
 /// One (class × backend × strategy) row of the `repro startnode`
 /// experiment, in raw numbers (the table formats them).
@@ -1347,10 +1344,9 @@ pub fn startnode_measurements(cfg: &ExpConfig) -> Vec<StartNodeRow> {
     rows
 }
 
-/// The `repro startnode` table: the bench tests assert that bi-criteria
-/// never runs more sweeps than George–Liu on any class or backend, that
-/// its post-RCM bandwidth stays within a small tolerance, and that every
-/// strategy is deterministic across the four backends.
+/// The `repro startnode` table: the bench tests assert that min-degree
+/// runs no sweep, that George–Liu reproduces the classical serial RCM, and
+/// that every strategy is deterministic across the four backends.
 pub fn startnode_table(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "Start-node strategy ablation — sweeps saved vs ordering quality",
@@ -1584,9 +1580,9 @@ pub fn kernel_measurements(cfg: &ExpConfig) -> Vec<KernelRow> {
 }
 
 /// The `repro kernels` table: ns/edge for the three expansion kernels and
-/// ns/element for the two SORTPERM kernels, per suite class. The bench
-/// tests assert bitmap pull ≤ closure pull on every class, zero
-/// steady-state growth of the warm pull buffer, and bit-identical outputs.
+/// ns/element for the two SORTPERM kernels, per suite class. The rates are
+/// reported, not asserted; the bench tests assert zero steady-state growth
+/// of the warm pull buffer and bit-identical outputs with equal pull work.
 pub fn kernels_table(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "Kernel microbenchmarks — expansion ns/edge, SORTPERM ns/element",
@@ -2108,17 +2104,15 @@ mod tests {
     }
 
     /// The `repro startnode` acceptance gate: on every quick-suite class
-    /// and every backend, the bi-criteria finder runs no more sweeps than
-    /// George–Liu (by construction: identical sweep trajectory, weaker
-    /// continuation test) with post-RCM bandwidth within 10%, min-degree
-    /// runs zero sweeps, every strategy is deterministic across backends,
-    /// and the default George–Liu orderings stay bit-identical to the
-    /// classical serial reference (the pre-strategy output).
+    /// and every backend, min-degree runs zero sweeps, every strategy is
+    /// deterministic across backends, and the default George–Liu orderings
+    /// stay bit-identical to the classical serial reference (the
+    /// pre-strategy output).
     #[test]
-    fn startnode_bicriteria_saves_sweeps_without_losing_bandwidth() {
+    fn startnode_rows_are_deterministic_and_george_liu_is_classical_rcm() {
         let cfg = quick_cfg();
         let rows = startnode_measurements(&cfg);
-        assert_eq!(rows.len(), 3 * 3 * 4); // classes × strategies × backends
+        assert_eq!(rows.len(), 3 * 2 * 4); // classes × strategies × backends
         for row in &rows {
             assert!(
                 row.deterministic,
@@ -2127,31 +2121,6 @@ mod tests {
             );
             if row.strategy == "min-degree" {
                 assert_eq!(row.sweeps, 0, "{} {}", row.class, row.backend);
-            }
-        }
-        for class in ["nd24k", "ldoor", "Li7Nmax6"] {
-            for backend in ["serial", "pooled", "dist", "hybrid"] {
-                let find = |strategy: &str| {
-                    rows.iter()
-                        .find(|r| {
-                            r.class == class && r.backend == backend && r.strategy == strategy
-                        })
-                        .unwrap_or_else(|| panic!("missing {class} {backend} {strategy} row"))
-                };
-                let gl = find("george-liu");
-                let bc = find("bi-criteria");
-                assert!(
-                    bc.sweeps <= gl.sweeps,
-                    "{class} {backend}: bi-criteria ran {} sweeps vs george-liu {}",
-                    bc.sweeps,
-                    gl.sweeps
-                );
-                assert!(
-                    bc.bandwidth as f64 <= gl.bandwidth as f64 * 1.10,
-                    "{class} {backend}: bi-criteria bandwidth {} vs george-liu {}",
-                    bc.bandwidth,
-                    gl.bandwidth
-                );
             }
         }
         // Default-strategy bit-identity with the classical serial RCM on
@@ -2276,99 +2245,49 @@ mod tests {
     }
 
     #[test]
-    fn warm_engine_throughput_beats_cold_per_call() {
-        // The acceptance gate of the engine layer: on every suite class,
-        // the warm engine's throughput (plain and batch) must be at least
-        // the cold per-call baseline on the pooled backend — cold pays the
-        // worker spawn and workspace construction per ordering, warm pays
-        // neither — and every permutation must stay bit-identical to
+    fn throughput_rows_stay_bit_identical_to_fresh_engines() {
+        // Every warm, batch and cold permutation must stay bit-identical to
         // a fresh engine's (checked across all four backends inside the
-        // measurement).
-        // Wall-clock relation, so measure over independent attempts: the
-        // structural margin (a 4-thread spawn per cold ordering) is ~10%,
-        // but sibling test binaries of a parallel `cargo test` run can
-        // steal the cores for one attempt. Bit-equality is deterministic
-        // and asserted on every attempt unconditionally.
-        const ATTEMPTS: usize = 4;
-        let mut last_failure = String::new();
-        for attempt in 0..ATTEMPTS {
-            let rows = throughput_measurements(&quick_cfg());
-            assert_eq!(rows.len(), 3 * 2, "3 quick classes x {{serial, pooled}}");
-            last_failure.clear();
-            for row in &rows {
-                assert!(
-                    row.identical,
-                    "{} ({}): engine permutations diverged from a fresh engine",
-                    row.matrix, row.backend
-                );
-                if row.backend == "pooled" {
-                    if row.warm_ops < row.cold_ops {
-                        last_failure = format!(
-                            "{}: warm engine slower than cold per-call ({:.1} < {:.1} o/s)",
-                            row.matrix, row.warm_ops, row.cold_ops
-                        );
-                    }
-                    if row.batch_ops < row.cold_ops {
-                        last_failure = format!(
-                            "{}: batch mode slower than cold per-call ({:.1} < {:.1} o/s)",
-                            row.matrix, row.batch_ops, row.cold_ops
-                        );
-                    }
-                }
-            }
-            if last_failure.is_empty() {
-                return;
-            }
-            eprintln!("throughput attempt {attempt} under load: {last_failure}");
+        // measurement). Warm against cold throughput is a reported column
+        // of the table, not an assertion: the deterministic property it
+        // stood for (a warm engine spawns no worker and grows no buffer
+        // after its first round) is pinned next to `OrderingEngine` in the
+        // engine's tests.
+        let rows = throughput_measurements(&quick_cfg());
+        assert_eq!(rows.len(), 3 * 2, "3 quick classes x {{serial, pooled}}");
+        for row in &rows {
+            assert!(
+                row.identical,
+                "{} ({}): engine permutations diverged from a fresh engine",
+                row.matrix, row.backend
+            );
         }
-        panic!("all {ATTEMPTS} throughput attempts failed; last: {last_failure}");
     }
 
     #[test]
-    fn cached_service_throughput_beats_warm_shards_on_every_class() {
-        // The acceptance gate of the service tier: on every suite class,
-        // the pattern-cached service must deliver strictly more
-        // orderings/second than the same service with the cache disabled —
-        // a hit is an O(nnz) fingerprint + pattern compare where a miss is
-        // a full BFS — and every cached permutation must stay bit-identical
-        // to the fresh single-shot ordering.
-        // Throughput is a wall-clock relation, so measure over independent
-        // attempts (the structural margin is large — a repeated-pattern
-        // stream hits on every job after prewarm — but sibling test
-        // binaries can steal the cores). Bit-equality and the hit rate are
-        // deterministic and asserted on every attempt unconditionally.
-        const ATTEMPTS: usize = 4;
-        let mut last_failure = String::new();
-        for attempt in 0..ATTEMPTS {
-            let rows = service_measurements(&quick_cfg());
-            assert_eq!(rows.len(), 3, "one row per quick suite class");
-            last_failure.clear();
-            for row in &rows {
-                assert!(
-                    row.identical,
-                    "{}: cached service permutations diverged from fresh orderings",
-                    row.matrix
-                );
-                assert!(
-                    row.hit_rate > 0.9,
-                    "{}: prewarmed cache should hit on ~every job, got {:.2}",
-                    row.matrix,
-                    row.hit_rate
-                );
-                assert!(row.p50_ms <= row.p95_ms, "{}: percentile order", row.matrix);
-                if row.cached_ops <= row.warm_ops {
-                    last_failure = format!(
-                        "{}: cached service not faster than warm shards ({:.1} <= {:.1} o/s)",
-                        row.matrix, row.cached_ops, row.warm_ops
-                    );
-                }
-            }
-            if last_failure.is_empty() {
-                return;
-            }
-            eprintln!("service attempt {attempt} under load: {last_failure}");
+    fn cached_service_rows_hit_and_stay_bit_identical() {
+        // Every cached permutation must stay bit-identical to the fresh
+        // single-shot ordering, and the prewarmed cache must hit on every
+        // job. Cached against warm-shard throughput is a reported column of
+        // the table, not an assertion: the deterministic property it stood
+        // for (a cache hit never reaches a shard) is pinned next to
+        // `OrderingService::submit` in the service's tests.
+        let rows = service_measurements(&quick_cfg());
+        assert_eq!(rows.len(), 3, "one row per quick suite class");
+        for row in &rows {
+            assert!(
+                row.identical,
+                "{}: cached service permutations diverged from fresh orderings",
+                row.matrix
+            );
+            assert!(
+                row.hit_rate > 0.9,
+                "{}: prewarmed cache should hit on ~every job, got {:.2}",
+                row.matrix,
+                row.hit_rate
+            );
+            assert!(row.p50_ms <= row.p95_ms, "{}: percentile order", row.matrix);
         }
-        panic!("all {ATTEMPTS} service attempts failed; last: {last_failure}");
     }
 
     #[test]
@@ -2396,45 +2315,25 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_pull_kernel_is_not_slower_than_closure_pull() {
-        // The acceptance gate of the kernel rework: on every suite class,
-        // the bitmap-masked pull (word skip, sentinel accumulator, warm
-        // output buffer) must not be slower per traversed edge than the
-        // closure-masked pre-bitmap kernel it replaced, the warm pull
-        // buffer must not grow once warmed, and every kernel must agree
-        // bit for bit.
-        // ns/edge is a wall-clock relation, so measure over independent
-        // attempts: best-of-reps absorbs most ambient load, but sibling
-        // test binaries of a parallel `cargo test` run can steal the cores
-        // for one attempt. Bit-equality and allocation-flatness are
-        // deterministic and asserted on every attempt unconditionally.
-        const ATTEMPTS: usize = 4;
-        let mut last_failure = String::new();
-        for attempt in 0..ATTEMPTS {
-            let rows = kernel_measurements(&quick_cfg());
-            assert_eq!(rows.len(), 3, "one row per quick suite class");
-            last_failure.clear();
-            for row in &rows {
-                assert!(row.identical, "{}: kernel outputs diverged", row.matrix);
-                assert_eq!(
-                    row.pull_growth_events, 0,
-                    "{}: warm pull buffer grew in steady state",
-                    row.matrix
-                );
-                assert!(row.frontier > 0 && row.pull_work > 0, "{}", row.matrix);
-                if row.pull_ns_edge > row.old_pull_ns_edge {
-                    last_failure = format!(
-                        "{}: bitmap pull {:.2} ns/edge slower than closure pull {:.2}",
-                        row.matrix, row.pull_ns_edge, row.old_pull_ns_edge
-                    );
-                }
-            }
-            if last_failure.is_empty() {
-                return;
-            }
-            eprintln!("kernels attempt {attempt} under load: {last_failure}");
+    fn kernel_rows_agree_bit_for_bit_and_the_warm_pull_buffer_stays_flat() {
+        // Every kernel must agree bit for bit (the bitmap pull with the
+        // closure pull on traversed edges too), and the warm pull buffer
+        // must not grow once warmed. Bitmap against closure pull ns/edge is
+        // a reported column of the table, not an assertion: the
+        // deterministic property it stood for (the bitmap kernel reads
+        // exactly the edges the closure kernel reads) is pinned next to
+        // `spmspv_pull` in the sparse crate's tests.
+        let rows = kernel_measurements(&quick_cfg());
+        assert_eq!(rows.len(), 3, "one row per quick suite class");
+        for row in &rows {
+            assert!(row.identical, "{}: kernel outputs diverged", row.matrix);
+            assert_eq!(
+                row.pull_growth_events, 0,
+                "{}: warm pull buffer grew in steady state",
+                row.matrix
+            );
+            assert!(row.frontier > 0 && row.pull_work > 0, "{}", row.matrix);
         }
-        panic!("all {ATTEMPTS} kernel attempts failed; last: {last_failure}");
     }
 
     #[test]

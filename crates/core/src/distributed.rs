@@ -58,9 +58,9 @@ pub struct DistRcmConfig {
     /// Beamer-style adaptive switch). Every policy produces the identical
     /// permutation; the constructors default it from `RCM_DIRECTION`.
     pub direction: ExpandDirection,
-    /// Start-node selection strategy (George–Liu sweep, RCM++ bi-criteria,
-    /// a fixed vertex, or zero-sweep min-degree). The constructors default
-    /// it from `RCM_START_NODE`.
+    /// Start-node selection strategy (George–Liu sweep, a fixed vertex, or
+    /// zero-sweep min-degree). The constructors default it from
+    /// `RCM_START_NODE`.
     pub start_node: StartNode,
 }
 

@@ -105,10 +105,9 @@
 //! breakdown shows the peripheral phase as a visible slice of distributed
 //! runtime — every sweep saved is a direct α–β communication win. The
 //! driver therefore takes the selection as a [`StartNode`]
-//! ([`drive_cm_with`]), one solver with a pluggable node selector whose four
-//! variants are George–Liu, the RCM++-style bi-criteria early-terminating
-//! finder, a fixed user vertex, and the zero-sweep minimum-degree baseline
-//! ([`StartNode::select`] runs the chosen one).
+//! ([`drive_cm_with`]), one solver with a pluggable node selector whose three
+//! variants are George–Liu, a fixed user vertex, and the zero-sweep
+//! minimum-degree baseline ([`StartNode::select`] runs the chosen one).
 //!
 //! ```
 //! use rcm_core::backends::SerialBackend;
@@ -121,9 +120,8 @@
 //! }
 //! let a = b.build();
 //!
-//! // The bi-criteria finder follows the same sweep trajectory as
-//! // George–Liu but stops as soon as the eccentricity gain falls below
-//! // its threshold — never more sweeps, often fewer.
+//! // George–Liu sweeps until the eccentricity stops growing: from the
+//! // min-degree seed 0 to the far end 5, where a second sweep confirms it.
 //! let mut gl = SerialBackend::new(&a);
 //! let gl_stats = drive_cm_with(
 //!     &mut gl,
@@ -131,14 +129,8 @@
 //!     ExpandDirection::Push,
 //!     &StartNode::GeorgeLiu,
 //! );
-//! let mut bc = SerialBackend::new(&a);
-//! let bc_stats = drive_cm_with(
-//!     &mut bc,
-//!     LabelingMode::PerLevel,
-//!     ExpandDirection::Push,
-//!     &StartNode::BiCriteria,
-//! );
-//! assert!(bc_stats.peripheral_bfs <= gl_stats.peripheral_bfs);
+//! assert_eq!(gl_stats.peripheral_bfs, 2);
+//! assert_eq!(gl_stats.peripheral_stats[0].start, 5);
 //! assert_eq!(gl_stats.peripheral_stats[0].eccentricity, 5); // a true path end
 //!
 //! // The zero-sweep baseline orders straight from the min-degree seed.
@@ -150,6 +142,7 @@
 //!     &StartNode::MinDegree,
 //! );
 //! assert_eq!(md_stats.peripheral_bfs, 0);
+//! assert_eq!(md_stats.peripheral_stats[0].start, 0);
 //! ```
 //!
 //! [`SerialBackend`]: crate::backends::SerialBackend
@@ -293,28 +286,18 @@ pub enum LabelingMode {
     GlobalAtEnd,
 }
 
-/// Bi-criteria continuation threshold: a sweep must grow the eccentricity
-/// by at least `max(1, previous_eccentricity / BI_CRITERIA_GAIN_DIV)`
-/// levels for the search to continue. George–Liu demands a gain of exactly
-/// 1 level; requiring a fraction of the current eccentricity instead stops
-/// the search once sweeps stop paying for themselves — each skipped sweep
-/// is a full BFS (and, distributed, its α–β communication).
-pub const BI_CRITERIA_GAIN_DIV: i64 = 8;
-
 /// The start-node selection strategy — how the driver turns a component's
 /// min-degree seed into the vertex the ordering pass starts from.
 ///
 /// Enters the driver through [`drive_cm_with`] (or
 /// `EngineConfig::builder().start_node(..)`, `rcm-order --start-node`,
 /// `DistRcmConfig::start_node`), or through the `RCM_START_NODE`
-/// environment variable (`george-liu`, `bi-criteria`, `min-degree`,
-/// `fixed:N`) for the env-derived defaults. [`StartNode::select`] runs the
-/// chosen strategy.
+/// environment variable (`george-liu`, `min-degree`, `fixed:N`) for the
+/// env-derived defaults. [`StartNode::select`] runs the chosen strategy.
 ///
 /// | strategy | sweeps | start vertex |
 /// |---|---|---|
 /// | [`StartNode::GeorgeLiu`] (default) | until eccentricity stops growing | pseudo-peripheral |
-/// | [`StartNode::BiCriteria`] | ≤ George–Liu (early-terminating) | near-peripheral |
 /// | [`StartNode::MinDegree`] | 0 | the min-degree seed |
 /// | [`StartNode::Fixed`] | 0 (its component) | user-supplied |
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -324,18 +307,6 @@ pub enum StartNode {
     /// pre-strategy driver.
     #[default]
     GeorgeLiu,
-    /// The RCM++-style bi-criteria finder (arXiv 2409.04171): the
-    /// candidate set is the last BFS level scored by degree×eccentricity,
-    /// and the sweep loop terminates early once a sweep grows the
-    /// eccentricity by less than `1/`[`BI_CRITERIA_GAIN_DIV`] of its
-    /// previous value. All last-level candidates share their distance from
-    /// the sweep root, so the degree×eccentricity score ranks them exactly
-    /// like the degree `REDUCE` George–Liu already performs — the two
-    /// strategies walk the *same* root trajectory, and the stronger
-    /// continuation test means bi-criteria never runs **more** sweeps than
-    /// George–Liu on any input (and the saved sweeps' α–β communication is
-    /// never charged on the distributed backends).
-    BiCriteria,
     /// Zero-sweep baseline: order straight from the min-degree seed.
     MinDegree,
     /// A user-supplied start vertex. Applies to the component containing
@@ -349,25 +320,22 @@ pub enum StartNode {
 }
 
 impl StartNode {
-    /// Short display name (`george-liu`, `bi-criteria`, `min-degree`,
-    /// `fixed`).
+    /// Short display name (`george-liu`, `min-degree`, `fixed`).
     pub fn name(&self) -> &'static str {
         match self {
             StartNode::GeorgeLiu => "george-liu",
-            StartNode::BiCriteria => "bi-criteria",
             StartNode::MinDegree => "min-degree",
             StartNode::Fixed(_) => "fixed",
         }
     }
 
     /// Parse a strategy spec (the `RCM_START_NODE` / `--start-node`
-    /// vocabulary): `george-liu`, `bi-criteria`, `min-degree`, or
-    /// `fixed:N` (also a bare vertex number).
+    /// vocabulary): `george-liu`, `min-degree`, or `fixed:N` (also a bare
+    /// vertex number).
     pub fn parse(s: &str) -> Option<StartNode> {
         let s = s.trim().to_ascii_lowercase();
         match s.as_str() {
             "george-liu" | "georgeliu" | "gl" => Some(StartNode::GeorgeLiu),
-            "bi-criteria" | "bicriteria" | "rcm++" => Some(StartNode::BiCriteria),
             "min-degree" | "mindegree" => Some(StartNode::MinDegree),
             other => {
                 let v = other.strip_prefix("fixed:").unwrap_or(other);
@@ -394,7 +362,6 @@ impl StartNode {
     pub fn cache_salt(&self) -> u64 {
         match self {
             StartNode::GeorgeLiu => 0,
-            StartNode::BiCriteria => 0x9e37_79b9_7f4a_7c15,
             StartNode::MinDegree => 0xc2b2_ae3d_27d4_eb4f,
             StartNode::Fixed(v) => {
                 0xd6e8_feb8_6659_fd93 ^ (*v as u64).wrapping_mul(0x0000_0100_0000_01b3)
@@ -421,10 +388,7 @@ impl StartNode {
         stats: &mut DriverStats,
     ) -> (Vidx, PeripheralStat) {
         match self {
-            StartNode::GeorgeLiu => peripheral_sweeps(rt, seed, policy, stats, |_| 1),
-            StartNode::BiCriteria => peripheral_sweeps(rt, seed, policy, stats, |nlvl| {
-                (nlvl / BI_CRITERIA_GAIN_DIV).max(1)
-            }),
+            StartNode::GeorgeLiu => peripheral_sweeps(rt, seed, policy, stats),
             StartNode::MinDegree => (
                 seed,
                 PeripheralStat {
@@ -449,7 +413,7 @@ impl StartNode {
                         );
                     }
                 }
-                peripheral_sweeps(rt, seed, policy, stats, |_| 1)
+                peripheral_sweeps(rt, seed, policy, stats)
             }
         }
     }
@@ -715,21 +679,16 @@ fn expand_frontier<R: RcmRuntime>(
     }
 }
 
-/// Algorithm 4's sweep loop, generically, parameterized by the
-/// continuation threshold: after a sweep of eccentricity `ecc`, the search
-/// continues only while `ecc - nlvl >= min_gain(nlvl)` (`nlvl` being the
-/// previous sweep's eccentricity, `-1` before the first). George–Liu is
-/// `min_gain ≡ 1` — `ecc - nlvl < 1 ⟺ ecc ≤ nlvl`, the classical "stopped
-/// growing" test, bit for bit. The bi-criteria finder demands a larger
-/// gain; since every `min_gain ≥ 1`, any such strategy stops no later than
-/// George–Liu on the identical root trajectory. Returns the final root and
-/// the phase record; bumps `stats.peripheral_bfs` once per full BFS sweep.
+/// Algorithm 4's sweep loop, the George–Liu search: BFS from the root,
+/// move the root to a minimum-degree vertex of the last level, and stop
+/// once a sweep's eccentricity no longer exceeds the previous one's.
+/// Returns the final root and the phase record; bumps
+/// `stats.peripheral_bfs` once per full BFS sweep.
 fn peripheral_sweeps<R: RcmRuntime>(
     rt: &mut R,
     start: Vidx,
     policy: ExpandDirection,
     stats: &mut DriverStats,
-    min_gain: impl Fn(i64) -> i64,
 ) -> (Vidx, PeripheralStat) {
     let n = rt.n();
     let mut r = start;
@@ -781,8 +740,8 @@ fn peripheral_sweeps<R: RcmRuntime>(
         pstat.levels += ecc as usize;
         pstat.start = r;
         pstat.eccentricity = ecc as usize;
-        // Converged: the eccentricity gain fell below the threshold.
-        if ecc - nlvl < min_gain(nlvl) {
+        // Converged: the eccentricity stopped growing.
+        if ecc <= nlvl {
             rt.end_peripheral_search();
             return (r, pstat);
         }
@@ -1182,14 +1141,11 @@ mod tests {
 
     #[test]
     fn startnode_names_parse_and_roundtrip() {
-        for s in [
-            StartNode::GeorgeLiu,
-            StartNode::BiCriteria,
-            StartNode::MinDegree,
-        ] {
+        for s in [StartNode::GeorgeLiu, StartNode::MinDegree] {
             assert_eq!(StartNode::parse(s.name()), Some(s));
         }
-        assert_eq!(StartNode::parse("RCM++"), Some(StartNode::BiCriteria));
+        assert_eq!(StartNode::parse("bi-criteria"), None);
+        assert_eq!(StartNode::parse("rcm++"), None);
         assert_eq!(StartNode::parse("fixed:7"), Some(StartNode::Fixed(7)));
         assert_eq!(StartNode::parse("7"), Some(StartNode::Fixed(7)));
         assert_eq!(StartNode::parse("sideways"), None);
@@ -1200,7 +1156,6 @@ mod tests {
     fn cache_salts_distinguish_every_strategy() {
         let salts = [
             StartNode::GeorgeLiu.cache_salt(),
-            StartNode::BiCriteria.cache_salt(),
             StartNode::MinDegree.cache_salt(),
             StartNode::Fixed(0).cache_salt(),
             StartNode::Fixed(1).cache_salt(),
@@ -1230,31 +1185,6 @@ mod tests {
         assert_eq!(stats.peripheral_stats.len(), stats.components);
         let p = &stats.peripheral_stats[0];
         assert!(p.sweeps >= 1 && p.levels >= p.eccentricity && p.eccentricity >= 1);
-    }
-
-    #[test]
-    fn bi_criteria_never_runs_more_sweeps_than_george_liu() {
-        use crate::backends::SerialBackend;
-        for a in [
-            path(200),
-            crate::testutil::scrambled_grid(16, 5),
-            crate::testutil::scrambled_grid(40, 11),
-        ] {
-            let run = |s: StartNode| {
-                let mut rt = SerialBackend::new(&a);
-                let stats =
-                    drive_cm_with(&mut rt, LabelingMode::PerLevel, ExpandDirection::Push, &s);
-                (rt.into_order(), stats)
-            };
-            let (_, gl) = run(StartNode::GeorgeLiu);
-            let (_, bc) = run(StartNode::BiCriteria);
-            assert!(
-                bc.peripheral_bfs <= gl.peripheral_bfs,
-                "bi-criteria ran {} sweeps vs george-liu's {}",
-                bc.peripheral_bfs,
-                gl.peripheral_bfs
-            );
-        }
     }
 
     #[test]

@@ -1037,4 +1037,39 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn warm_pooled_engine_spawns_no_worker_and_grows_nothing_after_its_first_round() {
+        // What a warm engine saves over a cold per-call ordering: the
+        // workers spawned at construction serve every later call, and no
+        // buffer grows once one round of single and batch orderings has
+        // warmed it.
+        let big = scrambled_grid(24, 13);
+        let batch = [scrambled_grid(6, 5), big.clone(), scrambled_grid(9, 4)];
+        let mut engine = OrderingEngine::with_backend(BackendKind::Pooled { threads: 3 });
+        let workers = |engine: &OrderingEngine| {
+            let pool = engine.pool.as_ref().expect("pooled engine owns a pool");
+            pool.worker_ids()
+        };
+        let spawned = workers(&engine);
+        assert_eq!(spawned.len(), 3);
+        engine.order(&big);
+        engine.order_batch(&batch);
+        let warm = engine.growth_events();
+        for _ in 0..3 {
+            engine.order(&batch[0]);
+            engine.order(&big);
+            engine.order_batch(&batch);
+        }
+        assert_eq!(
+            workers(&engine),
+            spawned,
+            "a warm engine respawned its workers"
+        );
+        assert_eq!(
+            engine.growth_events(),
+            warm,
+            "a warm engine grew a buffer after its first round"
+        );
+    }
 }

@@ -56,7 +56,7 @@ pub use compress::{find_supervariables, rcm_compressed, CompressStats};
 pub use distributed::{dist_rcm, DistRcmConfig, DistRcmResult, LevelStat, SortMode};
 pub use driver::{
     drive_cm_with, BackendKind, DenseTarget, DriverStats, ExpandDirection, LabelingMode,
-    PeripheralStat, RcmRuntime, StartNode, BI_CRITERIA_GAIN_DIV, PULL_ALPHA, PULL_BETA,
+    PeripheralStat, RcmRuntime, StartNode, PULL_ALPHA, PULL_BETA,
 };
 pub use engine::{
     CacheConfig, EngineConfig, EngineConfigBuilder, OrderingEngine, OrderingReport,

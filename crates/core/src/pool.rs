@@ -989,6 +989,14 @@ mod tests {
     use super::*;
     use rcm_sparse::CooBuilder;
 
+    impl RcmPool {
+        /// The persistent workers' thread ids, in spawn order: the same
+        /// ids on a later call mean no worker was respawned in between.
+        pub(crate) fn worker_ids(&self) -> Vec<std::thread::ThreadId> {
+            self.workers.iter().map(|w| w.thread().id()).collect()
+        }
+    }
+
     #[test]
     fn chunk_queue_covers_every_item_once() {
         let q = ChunkQueue::new(103, 10);

@@ -1117,7 +1117,7 @@ mod tests {
 
     #[test]
     fn cache_misses_across_start_node_strategies() {
-        // One pattern, four strategies: an entry stored under one strategy
+        // One pattern, three strategies: an entry stored under one strategy
         // must never satisfy a lookup under another — the permutations
         // differ. Same strategy still hits.
         let a = scrambled_grid(7, 5);
@@ -1130,11 +1130,7 @@ mod tests {
         )
         .order(&a);
         cache.insert(fp, &a, &report, StartNode::GeorgeLiu);
-        for other in [
-            StartNode::BiCriteria,
-            StartNode::MinDegree,
-            StartNode::Fixed(3),
-        ] {
+        for other in [StartNode::MinDegree, StartNode::Fixed(3)] {
             assert!(
                 cache.lookup(fp, &a, other).is_none(),
                 "a {} lookup must miss an entry cached under george-liu",
@@ -1142,12 +1138,8 @@ mod tests {
             );
         }
         assert!(cache.lookup(fp, &a, StartNode::GeorgeLiu).is_some());
-        // Each strategy caches independently; all four coexist.
-        for strategy in [
-            StartNode::BiCriteria,
-            StartNode::MinDegree,
-            StartNode::Fixed(3),
-        ] {
+        // Each strategy caches independently; all three coexist.
+        for strategy in [StartNode::MinDegree, StartNode::Fixed(3)] {
             let r =
                 OrderingEngine::new(EngineConfig::builder().start_node(strategy).build()).order(&a);
             cache.insert(fp, &a, &r, strategy);
@@ -1156,7 +1148,7 @@ mod tests {
                 r.perm
             );
         }
-        assert_eq!(cache.stats().entries, 4);
+        assert_eq!(cache.stats().entries, 3);
     }
 
     #[test]
@@ -1272,5 +1264,35 @@ mod tests {
         // Every job missed (all patterns distinct), so every completion
         // ran on a shard.
         assert_eq!(stats.per_shard.iter().sum::<usize>(), mats.len());
+    }
+
+    #[test]
+    fn cache_hits_complete_at_submit_and_never_reach_a_shard() {
+        // A hit is served from the front-door cache: its handle resolves
+        // before `submit` returns, and no shard (so no engine, no driver)
+        // sees the job.
+        let service = serial_service(Some(CacheConfig::default()));
+        let mats: Vec<CscMatrix> = (0..3).map(|i| scrambled_grid(8 + i, 7)).collect();
+        let fresh: Vec<OrderingReport> = mats
+            .iter()
+            .map(|a| service.submit(OrderingRequest::new(a.clone())).wait())
+            .collect();
+        let warm = service.stats();
+        assert_eq!(warm.per_shard.iter().sum::<usize>(), mats.len());
+        for _ in 0..4 {
+            for (a, miss) in mats.iter().zip(&fresh) {
+                let handle = service.submit(OrderingRequest::new(a.clone()));
+                let hit = handle.try_poll().expect("a hit resolves inside submit");
+                assert_eq!(hit.cache, Some(CacheOutcome::Hit));
+                assert_eq!(hit.perm, miss.perm);
+            }
+        }
+        let stats = service.stats();
+        assert_eq!(
+            stats.per_shard, warm.per_shard,
+            "a cache hit reached a shard"
+        );
+        assert_eq!(stats.cache_hits, warm.cache_hits + 4 * mats.len());
+        assert_eq!(stats.completed, stats.submitted);
     }
 }

@@ -616,6 +616,56 @@ mod tests {
     }
 
     #[test]
+    fn bitmap_pull_reads_exactly_the_edges_of_the_closure_pull() {
+        // The bitmap kernel replaced the closure-masked one to read less
+        // per candidate, never more: without a stop value it must traverse
+        // exactly the closure kernel's edges and emit its rows, on
+        // multi-word shapes with dense, sparse and word-sized masks. A
+        // stop value may only cut the work.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut dense = DenseFrontier::new(0);
+        let mut buf = PullBuffer::new();
+        for n in [63usize, 64, 65, 200, 517] {
+            let mut b = CooBuilder::new(n, n);
+            for v in 0..n as Vidx {
+                for _ in 0..3 {
+                    let w = (next() % n as u64) as Vidx;
+                    if w != v {
+                        b.push_sym(v, w);
+                    }
+                }
+            }
+            let a = b.build();
+            for (round, keep_one_in) in [1u64, 2, 7, 150].into_iter().enumerate() {
+                let frontier: Vec<(Vidx, i64)> = (0..n as Vidx)
+                    .filter_map(|v| {
+                        let r = next();
+                        (r % 5 == 0).then_some((v, (r / 5 % 9) as i64))
+                    })
+                    .collect();
+                let stop = frontier.iter().map(|&(_, x)| x).min();
+                dense.load(&SparseVec::from_entries(n, frontier));
+                let keep: Vec<bool> = (0..n).map(|_| next() % keep_one_in == 0).collect();
+                let cands = bitmap_where(n, |r| keep[r as usize]);
+                let (expect, closure_work) =
+                    spmspv_pull_ref::<i64, Select2ndMin>(&a, &dense, |r| keep[r as usize]);
+                let work = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, None, &mut buf);
+                assert_eq!(buf.to_sparse(n), expect, "n {n}, round {round}");
+                assert_eq!(work, closure_work, "n {n}, round {round}: pull work");
+                let stopped = spmspv_pull::<i64, Select2ndMin>(&a, &dense, &cands, stop, &mut buf);
+                assert_eq!(buf.to_sparse(n), expect, "n {n}, round {round}: stop");
+                assert!(stopped <= closure_work, "n {n}, round {round}: stop work");
+            }
+        }
+    }
+
+    #[test]
     fn pull_buffer_stops_growing_at_high_water() {
         let a = figure2_matrix();
         let x = SparseVec::from_entries(8, vec![(4, 2i64), (1, 3)]);

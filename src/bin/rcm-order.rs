@@ -21,9 +21,8 @@
 //!                          cache hit/miss, and a multi-input run prints
 //!                          the cache totals at the end
 //!   --start-node <s>       start-node selection strategy for --method rcm:
-//!                          george-liu (default), bi-criteria (RCM++,
-//!                          fewer sweeps), min-degree (zero sweeps), or
-//!                          fixed:N / a bare vertex number; overrides
+//!                          george-liu (default), min-degree (zero sweeps),
+//!                          or fixed:N / a bare vertex number; overrides
 //!                          RCM_START_NODE (not composable with --compress)
 //!   --split-components     schedule connected components as independent
 //!                          ordering jobs (--method rcm only, not
@@ -48,7 +47,9 @@
 //! inputs are loaded up front; the first bad file aborts with exit code 2
 //! naming it. `--write-perm`/`--write-matrix` require exactly one input.
 //!
-//! The frontier-expansion direction follows `RCM_DIRECTION`
+//! Without `--start-node`, the start-node strategy follows `RCM_START_NODE`
+//! when it is set; a value that names no strategy exits 2 naming the
+//! variable. The frontier-expansion direction follows `RCM_DIRECTION`
 //! (push|pull|adaptive, default adaptive); every setting produces the
 //! identical ordering.
 
@@ -68,12 +69,23 @@ struct Options {
     compress: bool,
     cache: bool,
     split: bool,
-    start_node: Option<StartNode>,
+    /// The start-node strategy, resolved once: `--start-node`, else a set
+    /// `RCM_START_NODE`, else George–Liu.
+    start_node: StartNode,
+    start_node_from: StartNodeFrom,
     scale: Option<f64>,
     write_perm: Option<String>,
     write_matrix: Option<String>,
     simulate: Vec<usize>,
     threads: usize,
+}
+
+/// What chose [`Options::start_node`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum StartNodeFrom {
+    Default,
+    Flag,
+    Env,
 }
 
 fn usage() -> ! {
@@ -82,7 +94,7 @@ fn usage() -> ! {
          \x20                [--method rcm|cm|sloan|nosort|globalsort]\n\
          \x20                [--backend serial|pooled|dist|hybrid] [--compress] [--cache]\n\
          \x20                [--split-components]\n\
-         \x20                [--start-node george-liu|bi-criteria|min-degree|fixed:N]\n\
+         \x20                [--start-node george-liu|min-degree|fixed:N]\n\
          \x20                [--scale f] [--write-perm FILE] [--write-matrix FILE]\n\
          \x20                [--simulate CORES,CORES,...] [--threads T]\n\
          --compress orders with George-Liu: it rejects --start-node and RCM_START_NODE"
@@ -115,7 +127,8 @@ fn parse_args() -> Options {
         compress: false,
         cache: false,
         split: false,
-        start_node: None,
+        start_node: StartNode::GeorgeLiu,
+        start_node_from: StartNodeFrom::Default,
         scale: None,
         write_perm: None,
         write_matrix: None,
@@ -132,13 +145,8 @@ fn parse_args() -> Options {
             "--split-components" => opts.split = true,
             "--start-node" => {
                 let spec = args.next().unwrap_or_else(|| usage());
-                opts.start_node = Some(StartNode::parse(&spec).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown start-node strategy {spec}: valid strategies are \
-                         george-liu|bi-criteria|min-degree|fixed:N"
-                    );
-                    std::process::exit(2);
-                }));
+                opts.start_node = parse_start_node(&spec, "");
+                opts.start_node_from = StartNodeFrom::Flag;
             }
             "--scale" => {
                 opts.scale = Some(
@@ -170,7 +178,26 @@ fn parse_args() -> Options {
     if opts.inputs.is_empty() {
         usage();
     }
+    if opts.start_node_from == StartNodeFrom::Default {
+        if let Some(spec) = std::env::var_os("RCM_START_NODE") {
+            let spec = spec.to_string_lossy();
+            opts.start_node =
+                parse_start_node(&spec, " in the RCM_START_NODE environment variable");
+            opts.start_node_from = StartNodeFrom::Env;
+        }
+    }
     opts
+}
+
+/// A start-node strategy spec, or exit 2 naming it and where it came from.
+fn parse_start_node(spec: &str, origin: &str) -> StartNode {
+    StartNode::parse(spec).unwrap_or_else(|| {
+        eprintln!(
+            "unknown start-node strategy {spec}{origin}: valid strategies are \
+             george-liu|min-degree|fixed:N"
+        );
+        std::process::exit(2);
+    })
 }
 
 fn load(name: &str, opts: &Options) -> CscMatrix {
@@ -249,16 +276,14 @@ fn main() {
         );
         std::process::exit(2);
     }
-    if opts.compress && opts.start_node.is_some() {
+    if opts.compress && opts.start_node_from == StartNodeFrom::Flag {
         eprintln!(
             "--compress does not compose with --start-node: the compressed quotient is \
              ordered by the sequential George-Liu pipeline"
         );
         std::process::exit(2);
     }
-    if opts.compress
-        && std::env::var("RCM_START_NODE").is_ok_and(|s| StartNode::parse(&s).is_some())
-    {
+    if opts.compress && opts.start_node_from == StartNodeFrom::Env {
         eprintln!(
             "--compress does not compose with the RCM_START_NODE environment variable: \
              the compressed quotient is ordered by the sequential George-Liu pipeline \
@@ -282,7 +307,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    if opts.start_node.is_some() && opts.method != "rcm" {
+    if opts.start_node_from == StartNodeFrom::Flag && opts.method != "rcm" {
         eprintln!(
             "--start-node applies only to --method rcm (got {}): the other heuristics \
              pick their own start vertices",
@@ -311,10 +336,8 @@ fn main() {
         let mut builder = EngineConfig::builder()
             .backend(backend_kind.unwrap_or(BackendKind::Serial))
             .compress(opts.compress)
-            .split_components(opts.split);
-        if let Some(sn) = opts.start_node {
-            builder = builder.start_node(sn);
-        }
+            .split_components(opts.split)
+            .start_node(opts.start_node);
         if opts.cache {
             builder = builder.cache(CacheConfig::default());
         }
@@ -389,10 +412,9 @@ fn main() {
                 );
             }
             if let Some(p) = report.peripheral_first() {
-                let strategy = opts.start_node.unwrap_or_else(StartNode::from_env);
                 println!(
                     "  peripheral: {} strategy, {} sweep(s), start vertex {}, eccentricity {}",
-                    strategy.name(),
+                    opts.start_node.name(),
                     report.peripheral_sweeps(),
                     p.start,
                     p.eccentricity
@@ -447,7 +469,7 @@ fn main() {
                     balance_seed: Some(1),
                     sort_mode: SortMode::Full,
                     direction: ExpandDirection::from_env(),
-                    start_node: opts.start_node.unwrap_or_else(StartNode::from_env),
+                    start_node: opts.start_node,
                 };
                 if cfg.hybrid.grid().is_none() {
                     println!(

@@ -526,8 +526,8 @@ fn compress_flag_rejects_start_node_selection() {
 #[test]
 fn compress_flag_rejects_the_start_node_environment_variable() {
     // Like --start-node, a recognized RCM_START_NODE would be ignored and
-    // a George-Liu permutation written; an unrecognized value selects
-    // nothing and is ignored everywhere.
+    // a George-Liu permutation written; an unrecognized value is rejected
+    // before --compress is considered.
     for strategy in ["min-degree", "fixed:3", "george-liu"] {
         let out = rcm_order()
             .args(["suite:nd24k", "--scale", "0.005", "--compress"])
@@ -546,10 +546,58 @@ fn compress_flag_rejects_the_start_node_environment_variable() {
         .env("RCM_START_NODE", "no-such-strategy")
         .output()
         .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains("no-such-strategy in the RCM_START_NODE environment variable"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn unrecognized_start_node_environment_variable_exits_2_naming_it() {
+    // A set RCM_START_NODE is the strategy when --start-node is absent: a
+    // value naming no strategy (a deleted one included) must not fall back
+    // to George-Liu without a word.
+    for spec in ["bi-criteria", "centroid"] {
+        let out = rcm_order()
+            .args(["suite:nd24k", "--scale", "0.005"])
+            .env("RCM_START_NODE", spec)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{spec}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "unknown start-node strategy {spec} in the RCM_START_NODE environment variable"
+            )),
+            "{spec}: {stderr}"
+        );
+    }
+    // --start-node overrides the variable, and a recognized value is the
+    // strategy the summary names.
+    let out = rcm_order()
+        .args([
+            "suite:nd24k",
+            "--scale",
+            "0.005",
+            "--start-node",
+            "george-liu",
+        ])
+        .env("RCM_START_NODE", "centroid")
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = rcm_order()
+        .args(["suite:nd24k", "--scale", "0.005"])
+        .env("RCM_START_NODE", "min-degree")
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("min-degree strategy, 0 sweep(s)"),
+        "{stdout}"
     );
 }
 
@@ -943,7 +991,7 @@ fn split_components_flag_rejects_compress() {
 
 #[test]
 fn start_node_flag_reports_the_peripheral_phase() {
-    for strategy in ["george-liu", "bi-criteria", "min-degree", "fixed:0"] {
+    for strategy in ["george-liu", "min-degree", "fixed:0"] {
         let out = rcm_order()
             .args(["suite:nd24k", "--scale", "0.005", "--start-node", strategy])
             .output()
@@ -974,7 +1022,7 @@ fn start_node_strategies_produce_identical_or_valid_orderings_per_backend() {
     // backend must write the identical permutation.
     let dir = std::env::temp_dir().join("rcm-order-test-startnode");
     std::fs::create_dir_all(&dir).unwrap();
-    for strategy in ["bi-criteria", "min-degree"] {
+    for strategy in ["min-degree"] {
         let mut perms = Vec::new();
         for backend in ["serial", "pooled", "dist", "hybrid"] {
             let perm_path = dir.join(format!("{strategy}-{backend}.txt"));
@@ -1020,6 +1068,23 @@ fn start_node_flag_rejects_bad_specs_and_non_rcm_methods() {
         stderr.contains("unknown start-node strategy centroid"),
         "{stderr}"
     );
+    // A deleted strategy's name is an unknown spec like any other.
+    let out = rcm_order()
+        .args([
+            "suite:nd24k",
+            "--scale",
+            "0.005",
+            "--start-node",
+            "bi-criteria",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown start-node strategy bi-criteria"),
+        "{stderr}"
+    );
     let out = rcm_order()
         .args([
             "suite:nd24k",
@@ -1028,7 +1093,7 @@ fn start_node_flag_rejects_bad_specs_and_non_rcm_methods() {
             "--method",
             "sloan",
             "--start-node",
-            "bi-criteria",
+            "min-degree",
         ])
         .output()
         .unwrap();

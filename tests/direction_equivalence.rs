@@ -222,3 +222,17 @@ fn parallel_pull_pipeline_is_bit_identical_above_the_cutover() {
         }
     }
 }
+
+/// `ExpandDirection::from_env` falls back to adaptive on a value it does
+/// not recognize, so a misspelled sweep entry would re-run the default and
+/// still pass. Fail it instead.
+#[test]
+fn swept_direction_names_a_policy() {
+    if let Some(spec) = std::env::var_os("RCM_DIRECTION") {
+        let spec = spec.to_string_lossy();
+        assert!(
+            ExpandDirection::parse(&spec).is_some(),
+            "RCM_DIRECTION={spec} names no direction policy; the sweep would run adaptive"
+        );
+    }
+}
